@@ -13,7 +13,7 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
                   l2_norm_p0, l2_norm_p1, l2_project_p0, linf_diff_p0,
                   linf_diff_p1, prolong_p0, prolong_p1)
-from .linalg import SparseSymOperator, axpy, matvec, solve_spd
+from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    barycentric_coordinates, build_unit_square_mesh, locate,
                    refine)

@@ -8,10 +8,10 @@ configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
+from math import factorial
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -113,6 +113,8 @@ def _config_from_args(args) -> RunConfig:
         cfg.out = args.out
     if getattr(args, "emit_fields", False):
         cfg.emit_fields = True
+    if cfg.level < 0:
+        raise ValueError(f"level must be >= 0, got {cfg.level}")
     return cfg
 
 
@@ -219,10 +221,6 @@ def _reference_triangle_mesh() -> Mesh:
     return Mesh(vertices, triangles, boundary, level=0)
 
 
-def _factorial(k: int) -> int:
-    return math.factorial(k)
-
-
 def _check_quadrature() -> str:
     rule = fem.TRIANGLE_RULE
     xy = rule.points[:, 1:3]                          # reference coordinates
@@ -231,7 +229,7 @@ def _check_quadrature() -> str:
         for b in range(rule.degree + 1 - a):
             approx = 0.5 * float(rule.weights @ (xy[:, 0] ** a *
                                                  xy[:, 1] ** b))
-            exact = _factorial(a) * _factorial(b) / _factorial(a + b + 2)
+            exact = factorial(a) * factorial(b) / factorial(a + b + 2)
             worst = max(worst, abs(approx - exact) / exact)
     for k in range(fem.EDGE_RULE_DEGREE + 1):
         approx = float(fem.EDGE_RULE_WEIGHTS @ fem.EDGE_RULE_POINTS ** k)
@@ -442,7 +440,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg.build_spec()
-    except KeyError as err:
+    except (KeyError, OcfemError) as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
     if args.command == "solve":

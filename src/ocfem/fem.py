@@ -14,9 +14,11 @@ Element conventions
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError, OcfemError
 from .linalg import SparseSymOperator
@@ -123,11 +125,44 @@ class P0Field:
             stream.write(f"{float(v)!r}\n")
 
 
+# Read-only arrays derived from a mesh alone, computed on first use and
+# dropped with the mesh (a parameter sweep builds many meshes).
+_PER_MESH = weakref.WeakKeyDictionary()
+
+
+def _per_mesh(mesh: Mesh, key: str, build):
+    cache = _PER_MESH.setdefault(mesh, {})
+    if key not in cache:
+        cache[key] = build()
+        for arr in cache[key]:
+            arr.setflags(write=False)
+    return cache[key]
+
+
 def quadrature_points(mesh: Mesh,
                       rule: QuadratureRule = TRIANGLE_RULE) -> np.ndarray:
-    """Physical coordinates of all volume quadrature points, (nt, nq, 2)."""
-    corners = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    return np.einsum("qk,tkd->tqd", rule.points, corners)
+    """Physical coordinates of all volume quadrature points, (nt, nq, 2).
+
+    The default rule's points are computed once per mesh and are read-only.
+    """
+    def build():
+        corners = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
+        return (np.einsum("qk,tkd->tqd", rule.points, corners),)
+
+    if rule is not TRIANGLE_RULE:
+        return build()[0]
+    return _per_mesh(mesh, "quadrature_points", build)[0]
+
+
+def at_points(fn, points: np.ndarray, y=None) -> np.ndarray:
+    """Values of a coefficient ``fn(x)``, or ``fn(x, y)`` if ``y`` is given,
+    at ``points`` (..., 2) with ``y`` (...).  The callable sees both
+    flattened; its result is broadcast to ``points.shape[:-1]``."""
+    shape = points.shape[:-1]
+    flat = points.reshape(-1, 2)
+    vals = fn(flat) if y is None else fn(flat, np.reshape(y, -1))
+    return np.broadcast_to(np.asarray(vals, dtype=float),
+                           (len(flat),)).reshape(shape)
 
 
 def _as_quad_values(mesh, source, rule):
@@ -138,9 +173,7 @@ def _as_quad_values(mesh, source, rule):
     if isinstance(source, P0Field):
         return np.broadcast_to(source.values[:, None], (nt, nq))
     if callable(source):
-        pts = quadrature_points(mesh, rule)
-        vals = np.asarray(source(pts.reshape(-1, 2)), dtype=float)
-        return vals.reshape(nt, nq)
+        return at_points(source, quadrature_points(mesh, rule))
     vals = np.asarray(source, dtype=float)
     if vals.shape != (nt, nq):
         raise OcfemError(f"expected quadrature values of shape {(nt, nq)}")
@@ -205,12 +238,46 @@ def assemble_weighted_mass(mesh: Mesh, weight=None,
     return _operator_from_local(mesh, local)
 
 
+def _pattern(mesh: Mesh):
+    """CSR ``(indptr, indices)`` of the P1 couplings of ``mesh`` and the
+    position in ``indices`` of each of the 9 nt local entries, in the
+    row-major order of the local (nt, 3, 3) matrices."""
+    def build():
+        nv = mesh.num_vertices
+        tri = mesh.triangles.astype(np.int64)
+        keys = np.repeat(tri, 3, axis=1) * nv + np.tile(tri, (1, 3))
+        unique, slot = np.unique(keys.ravel(), return_inverse=True)
+        index = np.int32 if len(unique) <= np.iinfo(np.int32).max \
+            else np.int64
+        indptr = np.searchsorted(unique // nv, np.arange(nv + 1))
+        return indptr.astype(index), (unique % nv).astype(index), slot
+
+    return _per_mesh(mesh, "pattern", build)
+
+
+def _operator_on_pattern(mesh: Mesh, data: np.ndarray) -> SparseSymOperator:
+    indptr, indices, _ = _pattern(mesh)
+    nv = mesh.num_vertices
+    return SparseSymOperator(
+        sp.csr_matrix((data, indices, indptr), shape=(nv, nv)))
+
+
 def _operator_from_local(mesh: Mesh, local: np.ndarray) -> SparseSymOperator:
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return SparseSymOperator.from_triplets(mesh.num_vertices, rows, cols,
-                                           local.ravel())
+    _, indices, slot = _pattern(mesh)
+    return _operator_on_pattern(
+        mesh, np.bincount(slot, local.ravel(), minlength=len(indices)))
+
+
+def add_assembled(mesh: Mesh, a: SparseSymOperator,
+                  b: SparseSymOperator) -> SparseSymOperator:
+    """``a + b`` for operators assembled on ``mesh``: their data add entry
+    by entry on the mesh's one sparsity pattern."""
+    indptr, indices, _ = _pattern(mesh)
+    for op in (a, b):
+        if not (np.array_equal(op.matrix.indptr, indptr)
+                and np.array_equal(op.matrix.indices, indices)):
+            raise MeshError("operator was not assembled on this mesh")
+    return _operator_on_pattern(mesh, a.matrix.data + b.matrix.data)
 
 
 def assemble_volume_load(mesh: Mesh, f,

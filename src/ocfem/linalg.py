@@ -41,11 +41,6 @@ class SparseSymOperator:
                     f"stored values are not symmetric (|A-A^T| = {gap:.3e})")
         self._factorization = None
 
-    @classmethod
-    def from_triplets(cls, n, rows, cols, values, symmetric=True):
-        mat = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
-        return cls(mat, symmetric=symmetric)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -58,16 +53,6 @@ class SparseSymOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def __add__(self, other: "SparseSymOperator") -> "SparseSymOperator":
-        if not isinstance(other, SparseSymOperator):
-            return NotImplemented
-        out = SparseSymOperator.__new__(SparseSymOperator)
-        out.matrix = (self.matrix + other.matrix).tocsr()
-        out.n = self.n
-        out.symmetric = self.symmetric and other.symmetric
-        out._factorization = None
-        return out
 
     def _factor(self):
         if self._factorization is None:
@@ -141,21 +126,3 @@ class SparseSymOperator:
         raise LinearSolverError(
             f"conjugate gradient stalled at residual {history[-1]:.3e}",
             residual_history=history)
-
-
-def matvec(operator: SparseSymOperator, x: np.ndarray) -> np.ndarray:
-    return operator.matvec(x)
-
-
-def solve_spd(operator: SparseSymOperator, b: np.ndarray,
-              tol: float = 1e-12) -> np.ndarray:
-    return operator.solve_spd(b, tol=tol)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``y + alpha * x`` (fresh array)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise LinearSolverError("dimension mismatch in axpy")
-    return y + alpha * x

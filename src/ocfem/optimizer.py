@@ -118,13 +118,9 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
         state, _ = pde.solve_state(spec, mesh, u, **solve_kwargs)
     tracking = 0.0
     if spec.objective is not None:
-        pts = fem.quadrature_points(mesh)
-        yq = state.at_quadrature()
-        vals = np.broadcast_to(
-            np.asarray(spec.objective(pts.reshape(-1, 2),
-                                      yq.reshape(-1)), float),
-            (yq.size,)).reshape(yq.shape)
-        tracking = fem.integrate(mesh, vals)
+        tracking = fem.integrate(mesh, fem.at_points(
+            spec.objective, fem.quadrature_points(mesh),
+            state.at_quadrature()))
     tikhonov = 0.5 * spec.nu * float(np.sum(mesh.areas * u.values ** 2))
     return tracking + tikhonov
 

@@ -61,8 +61,7 @@ class ProblemSpec:
         monotonicity bound da/dy(x, y) >= a0(x).
         """
         pts = fem.quadrature_points(mesh).reshape(-1, 2)
-        a0 = np.broadcast_to(np.asarray(self.reaction_floor(pts), float),
-                             (len(pts),))
+        a0 = fem.at_points(self.reaction_floor, pts)
         worst = float(np.min(a0) + self.alpha)
         if worst < -1e-12:
             raise AdmissibilityError(
@@ -70,13 +69,10 @@ class ProblemSpec:
         if np.max(a0) + self.alpha <= 0.0:
             raise AdmissibilityError("a0 + alpha vanishes identically")
         sample = pts[:: max(1, len(pts) // 64)]
-        a0s = np.broadcast_to(np.asarray(self.reaction_floor(sample), float),
-                              (len(sample),))
+        a0s = fem.at_points(self.reaction_floor, sample)
         for y_val in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            dy = np.broadcast_to(
-                np.asarray(self.nonlinearity_dy(
-                    sample, np.full(len(sample), y_val)), float),
-                (len(sample),))
+            dy = fem.at_points(self.nonlinearity_dy, sample,
+                               np.full(len(sample), y_val))
             gap = float(np.min(dy - a0s))
             if gap < -1e-10:
                 raise AdmissibilityError(
@@ -85,11 +81,7 @@ class ProblemSpec:
 
     def check_control(self, mesh: Mesh, u: P0Field) -> None:
         """Check membership of u in the admissible monotonicity class."""
-        pts = fem.quadrature_points(mesh)            # (nt, nq, 2)
-        nt, nq = pts.shape[0], pts.shape[1]
-        a0 = np.broadcast_to(
-            np.asarray(self.reaction_floor(pts.reshape(-1, 2)), float),
-            (nt * nq,)).reshape(nt, nq)
+        a0 = fem.at_points(self.reaction_floor, fem.quadrature_points(mesh))
         total = a0 + u.values[:, None]
         if float(total.min()) < -1e-12:
             raise AdmissibilityError(
@@ -108,13 +100,6 @@ class SolveReport:
     converged: bool = False
 
 
-def _objective_dy_values(spec, yq, pts_flat, shape):
-    if spec.objective_dy is None:
-        return np.zeros(shape)
-    vals = np.asarray(spec.objective_dy(pts_flat, yq.reshape(-1)), float)
-    return np.broadcast_to(vals, (shape[0] * shape[1],)).reshape(shape)
-
-
 def second_order_weight(spec: ProblemSpec, mesh: Mesh, y: P1Field,
                         phi: P1Field) -> np.ndarray:
     """Quadrature values of ``d2L/dy2(x,y) - phi * d2a/dy2(x,y)``, (nt, nq).
@@ -123,18 +108,10 @@ def second_order_weight(spec: ProblemSpec, mesh: Mesh, y: P1Field,
     that both sides of the cross-check integrate the same function.
     """
     pts = fem.quadrature_points(mesh)
-    flat = pts.reshape(-1, 2)
     yq = y.at_quadrature()
-    shape = yq.shape
-    d2a = np.broadcast_to(
-        np.asarray(spec.nonlinearity_dyy(flat, yq.reshape(-1)), float),
-        (shape[0] * shape[1],)).reshape(shape)
-    if spec.objective_dyy is None:
-        d2l = np.zeros(shape)
-    else:
-        d2l = np.broadcast_to(
-            np.asarray(spec.objective_dyy(flat, yq.reshape(-1)), float),
-            (shape[0] * shape[1],)).reshape(shape)
+    d2a = fem.at_points(spec.nonlinearity_dyy, pts, yq)
+    d2l = (0.0 if spec.objective_dyy is None else
+           fem.at_points(spec.objective_dyy, pts, yq))
     return d2l - phi.at_quadrature() * d2a
 
 
@@ -144,14 +121,10 @@ def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     """Operator of the linearized form: diffusion + reaction da/dy + u."""
     if stiffness is None:
         stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
-    pts = fem.quadrature_points(mesh)
-    yq = y.at_quadrature()
-    da = np.broadcast_to(
-        np.asarray(spec.nonlinearity_dy(pts.reshape(-1, 2),
-                                        yq.reshape(-1)), float),
-        (yq.size,)).reshape(yq.shape)
-    weight = da + u.values[:, None]
-    return stiffness + fem.assemble_weighted_mass(mesh, weight)
+    da = fem.at_points(spec.nonlinearity_dy, fem.quadrature_points(mesh),
+                       y.at_quadrature())
+    mass = fem.assemble_weighted_mass(mesh, da + u.values[:, None])
+    return fem.add_assembled(mesh, stiffness, mass)
 
 
 def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
@@ -172,16 +145,12 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     load = fem.assemble_boundary_load(mesh, spec.boundary_flux)
     scale = 1.0 + float(np.linalg.norm(load))
     pts = fem.quadrature_points(mesh)
-    flat = pts.reshape(-1, 2)
-    nt, nq = pts.shape[0], pts.shape[1]
 
     def residual(values):
-        yq = (values[mesh.triangles] @ TRIANGLE_RULE.points.T)
-        a_vals = np.broadcast_to(
-            np.asarray(spec.nonlinearity(flat, yq.reshape(-1)), float),
-            (nt * nq,)).reshape(nt, nq)
+        yq = values[mesh.triangles] @ TRIANGLE_RULE.points.T
         res = stiffness.matvec(values)
-        res += fem.assemble_volume_load(mesh, a_vals)
+        res += fem.assemble_volume_load(
+            mesh, fem.at_points(spec.nonlinearity, pts, yq))
         res += fem.p0_weighted_p1_load(mesh, u, P1Field(mesh, values))
         res -= load
         return res
@@ -190,10 +159,12 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     report = SolveReport()
     f = residual(y)
     norm_f = float(np.linalg.norm(f))
-    for it in range(max_iterations):
-        if norm_f <= tol * scale:
-            report.converged = True
-            break
+    while norm_f > tol * scale:
+        if report.iterations == max_iterations:
+            report.residual = norm_f
+            raise NonconvergenceError(
+                f"state Newton did not converge in {max_iterations} "
+                f"iterations (residual {norm_f:.3e})", report=report)
         operator = linearized_operator(spec, mesh, u, P1Field(mesh, y),
                                        stiffness=stiffness)
         delta = operator.solve_spd(-f, tol=linear_tol)
@@ -207,18 +178,13 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
             step *= 0.5
             report.damping_events += 1
         else:
-            report.iterations = it + 1
+            report.iterations += 1
             report.residual = norm_f
             raise NonconvergenceError(
                 "Newton damping failed to reduce the state residual",
                 report=report)
         y, f, norm_f = y_trial, f_trial, norm_trial
-        report.iterations = it + 1
-    else:
-        report.residual = norm_f
-        raise NonconvergenceError(
-            f"state Newton did not converge in {max_iterations} iterations "
-            f"(residual {norm_f:.3e})", report=report)
+        report.iterations += 1
     report.residual = norm_f
     report.converged = True
     return P1Field(mesh, y), report
@@ -232,10 +198,8 @@ def solve_adjoint(spec: ProblemSpec, mesh: Mesh, u: P0Field, y: P1Field, *,
         return P1Field.zeros(mesh)
     if operator is None:
         operator = linearized_operator(spec, mesh, u, y)
-    pts = fem.quadrature_points(mesh)
-    yq = y.at_quadrature()
-    rhs_vals = _objective_dy_values(spec, yq, pts.reshape(-1, 2), yq.shape)
-    rhs = fem.assemble_volume_load(mesh, rhs_vals)
+    rhs = fem.assemble_volume_load(mesh, fem.at_points(
+        spec.objective_dy, fem.quadrature_points(mesh), y.at_quadrature()))
     return P1Field(mesh, operator.solve_spd(rhs, tol=linear_tol))
 
 

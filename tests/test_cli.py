@@ -30,6 +30,18 @@ def test_bad_levels_flag_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--level", "-1"],
+    ["--nu", "nan"],
+    ["--alpha", "nan"],
+    ["--alpha", "2", "--beta", "1"],
+])
+def test_bad_configuration_exit_2(args, capsys):
+    assert run_cli(["solve", "--preset", "paper-sec6"] + args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_solve_writes_summary_and_fields(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli(["solve", "--preset", "manufactured-constant",

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ocfem import (Mesh, MeshError, OcfemError, P0Field, P1Field,
                    TRIANGLE_RULE, assemble_boundary_load, assemble_stiffness,
@@ -17,7 +18,7 @@ from ocfem import (Mesh, MeshError, OcfemError, P0Field, P1Field,
                    build_unit_square_mesh, integrate, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross, l2_norm_p1,
                    l2_project_p0, linf_diff_p1, refine)
-from ocfem import fem
+from ocfem import fem, get_preset, pde
 
 
 def reference_triangle():
@@ -319,3 +320,80 @@ def test_linf_diff():
     b = P1Field.from_function(mesh, lambda x: x[..., 0] ** 2)
     expected = np.max(np.abs(mesh.vertices[:, 0] - mesh.vertices[:, 0] ** 2))
     assert linf_diff_p1(a, b) == pytest.approx(expected, abs=1e-15)
+
+
+def _reference_operator(mesh, local):
+    """Oracle: global matrix from local (nt, 3, 3) blocks by COO summation."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    n = mesh.num_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _local_stiffness(mesh, diffusion):
+    g = mesh.grads
+    if diffusion is None:
+        coef = np.broadcast_to(np.eye(2), (mesh.num_triangles, 2, 2))
+    else:
+        pts = fem.quadrature_points(mesh).reshape(-1, 2)
+        vals = diffusion(pts).reshape(mesh.num_triangles, -1, 2, 2)
+        coef = np.einsum("q,tqab->tab", TRIANGLE_RULE.weights, vals)
+    return mesh.areas[:, None, None] * np.einsum("tia,tab,tjb->tij",
+                                                  g, coef, g)
+
+
+def _local_mass(mesh, wq):
+    lam = TRIANGLE_RULE.points
+    return mesh.areas[:, None, None] * np.einsum(
+        "tq,q,qi,qj->tij", wq, TRIANGLE_RULE.weights, lam, lam)
+
+
+def _varying_diffusion(x):
+    out = np.empty(x.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 2.0 + x[..., 0]
+    out[..., 1, 1] = 1.0 + x[..., 1] ** 2
+    out[..., 0, 1] = out[..., 1, 0] = 0.3 * x[..., 0] * x[..., 1]
+    return out
+
+
+def _assert_matches(op, ref):
+    np.testing.assert_allclose(op.to_dense(), ref.toarray(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("diffusion", [None, _varying_diffusion])
+def test_assembly_matches_coo_oracle(level, diffusion):
+    mesh = build_unit_square_mesh(level)
+    rng = np.random.default_rng(level)
+    wq = rng.uniform(0.5, 2.0, (mesh.num_triangles,
+                                len(TRIANGLE_RULE.weights)))
+    K = assemble_stiffness(mesh, diffusion)
+    M = assemble_weighted_mass(mesh, wq)
+    _assert_matches(K, _reference_operator(mesh, _local_stiffness(mesh,
+                                                                  diffusion)))
+    _assert_matches(M, _reference_operator(mesh, _local_mass(mesh, wq)))
+    assert np.array_equal(K.matrix.indptr, M.matrix.indptr)
+    assert np.array_equal(K.matrix.indices, M.matrix.indices)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_linearized_operator_is_stiffness_plus_weighted_mass(level):
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(level)
+    rng = np.random.default_rng(10 + level)
+    u = P0Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    y = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
+    pts = fem.quadrature_points(mesh)
+    yq = y.at_quadrature()
+    weight = spec.nonlinearity_dy(pts, yq) + u.values[:, None]
+    ref = (_reference_operator(mesh, _local_stiffness(mesh, None))
+           + _reference_operator(mesh, _local_mass(mesh, weight)))
+    _assert_matches(pde.linearized_operator(spec, mesh, u, y), ref)
+
+
+def test_quadrature_points_are_read_only():
+    mesh = build_unit_square_mesh(2)
+    pts = fem.quadrature_points(mesh)
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 1.0

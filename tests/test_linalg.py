@@ -4,8 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
-                   axpy, build_unit_square_mesh, assemble_weighted_mass,
-                   assemble_stiffness, matvec, solve_spd)
+                   build_unit_square_mesh, assemble_weighted_mass,
+                   assemble_stiffness)
 
 
 def random_spd(n, seed):
@@ -24,12 +24,12 @@ def random_spd(n, seed):
 def test_identity_solve():
     op = SparseSymOperator(sp.identity(7, format="csr"))
     b = np.arange(7.0)
-    assert solve_spd(op, b) == pytest.approx(b, abs=1e-14)
+    assert op.solve_spd(b) == pytest.approx(b, abs=1e-14)
 
 
 def test_two_by_two_exact():
     op = SparseSymOperator(sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-    x = solve_spd(op, np.array([3.0, 3.0]))
+    x = op.solve_spd(np.array([3.0, 3.0]))
     assert x == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
@@ -47,8 +47,8 @@ def test_random_spd_against_dense_oracle(method):
 def test_matvec_identity_and_zero():
     op = SparseSymOperator(sp.identity(5, format="csr"))
     v = np.linspace(-1.0, 1.0, 5)
-    assert matvec(op, v) == pytest.approx(v, abs=0.0)
-    assert matvec(op, np.zeros(5)) == pytest.approx(np.zeros(5), abs=0.0)
+    assert op.matvec(v) == pytest.approx(v, abs=0.0)
+    assert op.matvec(np.zeros(5)) == pytest.approx(np.zeros(5), abs=0.0)
 
 
 def test_matvec_against_dense_oracle():
@@ -97,7 +97,8 @@ def test_indefinite_cg_breakdown():
 
 def test_assembled_system_with_admissible_weight_solves():
     mesh = build_unit_square_mesh(3)
-    op = assemble_stiffness(mesh) + assemble_weighted_mass(mesh, 1.0)
+    op = SparseSymOperator(assemble_stiffness(mesh).matrix +
+                           assemble_weighted_mass(mesh, 1.0).matrix)
     rng = np.random.default_rng(2)
     b = rng.standard_normal(mesh.num_vertices)
     x = op.solve_spd(b, tol=1e-12)
@@ -110,11 +111,3 @@ def test_solve_is_deterministic():
     x1 = op.solve_spd(b)
     x2 = op.solve_spd(b)
     assert np.array_equal(x1, x2)
-
-
-def test_axpy():
-    x = np.array([1.0, 2.0])
-    y = np.array([10.0, 20.0])
-    assert axpy(0.5, x, y) == pytest.approx([10.5, 21.0])
-    with pytest.raises(LinearSolverError):
-        axpy(1.0, x, np.zeros(3))

@@ -247,3 +247,13 @@ def test_newton_budget_error_carries_report():
         pde.solve_state(spec, mesh, P0Field.zeros(mesh), max_iterations=1)
     assert err.value.report.iterations == 1
     assert not err.value.report.converged
+
+
+def test_newton_converging_on_last_allowed_step_succeeds():
+    spec = get_preset("manufactured-constant")
+    mesh = build_unit_square_mesh(3)
+    _, report = pde.solve_state(spec, mesh, P0Field.zeros(mesh),
+                                max_iterations=1)
+    assert report.converged
+    assert report.iterations == 1
+    assert report.residual <= 1e-12
