@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import fem, optimizer, pde, presets, study
-from .errors import AdmissibilityError, NonconvergenceError, OcfemError
+from .errors import (AdmissibilityError, LinearSolverError,
+                     NonconvergenceError, OcfemError)
 from .fem import P0Field, P1Field
 from .mesh import Mesh, build_unit_square_mesh
 
@@ -154,7 +155,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         solution = optimizer.solve_ocp(spec, mesh, tol=cfg.tol_kkt,
                                        newton_tol=cfg.tol_newton,
                                        linear_tol=cfg.tol_linear)
-    except (AdmissibilityError, NonconvergenceError) as err:
+    except (AdmissibilityError, NonconvergenceError, LinearSolverError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     summary = [
@@ -205,9 +206,9 @@ def cmd_study(cfg: RunConfig) -> int:
                                   newton_tol=cfg.tol_newton,
                                   linear_tol=cfg.tol_linear,
                                   progress=progress)
-    except NonconvergenceError as err:
-        partial = err.report or []
-        _write_lines(format_csv_rows(partial), cfg.out)
+    except (NonconvergenceError, LinearSolverError) as err:
+        if isinstance(err, NonconvergenceError):
+            _write_lines(format_csv_rows(err.report or []), cfg.out)
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_lines(format_csv_rows(records), cfg.out)

@@ -45,8 +45,11 @@ class ProblemSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise AdmissibilityError("nu must be positive")
+        if not 0.0 < self.nu < math.inf:
+            raise AdmissibilityError("nu must be finite and positive")
+        for name in ("alpha", "beta"):
+            if math.isnan(getattr(self, name)):
+                raise AdmissibilityError(f"bound {name} is nan")
         if not self.alpha < self.beta:
             raise AdmissibilityError("bounds must satisfy alpha < beta")
 

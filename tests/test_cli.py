@@ -30,16 +30,24 @@ def test_bad_levels_flag_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["--level", "-1"],
-    ["--nu", "nan"],
-    ["--alpha", "nan"],
-    ["--alpha", "2", "--beta", "1"],
-])
-def test_bad_configuration_exit_2(args, capsys):
+_BAD_CONFIGURATIONS = [
+    (["--level", "-1"], "level"),
+    (["--nu", "nan"], "nu"),
+    (["--alpha", "nan"], "nan"),
+    (["--alpha", "2", "--beta", "1"], "alpha < beta"),
+    (["--nu", "inf"], "nu"),
+    (["--beta", "nan"], "nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected", _BAD_CONFIGURATIONS,
+    ids=[f"args{i}" for i in range(len(_BAD_CONFIGURATIONS))])
+def test_bad_configuration_exit_2(args, expected, capsys):
     assert run_cli(["solve", "--preset", "paper-sec6"] + args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert expected in err[0]
 
 
 def test_solve_writes_summary_and_fields(tmp_path, capsys):
@@ -165,17 +173,20 @@ def test_solve_inadmissible_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_nonconvergence_exit_1(capsys, monkeypatch):
-    from ocfem import NonconvergenceError
+@pytest.mark.parametrize("error", ["NonconvergenceError",
+                                   "LinearSolverError"])
+def test_solve_nonconvergence_exit_1(error, capsys, monkeypatch):
+    import ocfem
     import ocfem.cli as cli_mod
 
     def always_fails(*args, **kwargs):
-        raise NonconvergenceError("forced failure", report=None)
+        raise getattr(ocfem, error)("forced failure")
 
     monkeypatch.setattr(cli_mod.optimizer, "solve_ocp", always_fails)
     code = run_cli(["solve", "--preset", "paper-sec6", "--level", "1"])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: forced failure"]
 
 
 def test_study_partial_csv_on_failure(tmp_path, capsys, monkeypatch):

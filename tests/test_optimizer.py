@@ -289,3 +289,19 @@ def test_solve_ocp_is_deterministic():
     assert np.array_equal(a.control.values, b.control.values)
     assert a.cost == b.cost
     assert a.kkt_residual == b.kkt_residual
+
+
+def test_reduced_cg_negative_curvature_returns_preconditioned_residual():
+    class NegativeHessian:
+        spec = get_preset("paper-sec6")
+
+        def hessian_apply_values(self, v):
+            return -v
+
+    problem = NegativeHessian()
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    inactive = np.array([True, True, False, True])
+    r = np.where(inactive, rhs, 0.0)
+    step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25),
+                                 tol=1e-10, max_iterations=50)
+    assert np.array_equal(step, r / problem.spec.nu)

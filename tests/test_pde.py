@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ocfem import (AdmissibilityError, CoercivityError, NonconvergenceError,
-                   P0Field, P1Field, ProblemSpec, build_unit_square_mesh,
-                   get_preset, l2_diff_p1, l2_norm_p1, linf_diff_p1,
-                   prolong_p1, refine)
+                   P0Field, P1Field, ProblemSpec, barycenters,
+                   build_unit_square_mesh, get_preset, l2_diff_p1,
+                   l2_norm_p1, linf_diff_p1, prolong_p1, refine)
 from ocfem import fem, pde
 
 
@@ -257,3 +257,23 @@ def test_newton_converging_on_last_allowed_step_succeeds():
     assert report.converged
     assert report.iterations == 1
     assert report.residual <= 1e-12
+
+
+def test_level8_newton_step_accepted_at_precision_floor():
+    # At level 8 the LU step from y = 0 and its refinement stop near a
+    # relative residual of 1.2e-12, above the 1e-12 linear tolerance.  For
+    # this control the componentwise backward error is 1.06 eps: above eps
+    # but inside the (m + 1) eps/2 rounding floor of the residual, so the
+    # step must be accepted rather than raise LinearSolverError.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(8)
+    centers = barycenters(mesh)
+    k = np.arange(4)
+    coef = (np.random.default_rng(40).standard_normal((4, 4))
+            * 0.2 / (1.0 + k[:, None] + k[None, :]))
+    values = np.einsum("mk,kl,ml->m", np.cos(np.pi * centers[:, :1] * k),
+                       coef, np.cos(np.pi * centers[:, 1:] * k))
+    try:
+        pde.solve_state(spec, mesh, P0Field(mesh, values), max_iterations=1)
+    except NonconvergenceError:
+        pass
