@@ -207,8 +207,7 @@ def cmd_study(cfg: RunConfig) -> int:
                                   linear_tol=cfg.tol_linear,
                                   progress=progress)
     except (NonconvergenceError, LinearSolverError) as err:
-        if isinstance(err, NonconvergenceError):
-            _write_lines(format_csv_rows(err.report or []), cfg.out)
+        _write_lines(format_csv_rows(err.report or []), cfg.out)
         print(f"error: {err}", file=sys.stderr)
         return 1
     _write_lines(format_csv_rows(records), cfg.out)

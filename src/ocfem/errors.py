@@ -20,7 +20,11 @@ class LinearSolverError(OcfemError):
     ----------
     residual_history : list of float
         Relative residuals recorded before the failure.
+    report : list of StudyRecord or None
+        The rows a study finished before the failure (set by ``run_study``).
     """
+
+    report = None
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)
@@ -41,8 +45,8 @@ class NonconvergenceError(OcfemError):
     Attributes
     ----------
     report : object
-        Diagnostics of the failed solve (SolveReport for Newton, the
-        best OcpSolution for the outer optimizer).
+        Diagnostics of the failed solve (SolveReport for Newton, the best
+        OcpSolution for the outer optimizer, finished rows for a study).
     """
 
     def __init__(self, message, report=None):

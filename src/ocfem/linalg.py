@@ -1,17 +1,20 @@
 """Symmetric sparse operators and the linear solves behind every assembly.
 
-One solve path: the sparse LU factor, cached per operator, then iterative
-refinement ``x += LU^-1 (b - A x)`` with that factor (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 12) for at most five steps, each of
-which must lower the true residual.  A solution is accepted when its
-relative residual meets the tolerance, or else at the working-precision
-floor: a componentwise backward error ``max_i |r_i| / (|A||x| + |b|)_i``
-(rows of 0/0 count as zero) of at most ``(m + 1) eps/2``, m being the most
-nonzeros in a row.  That is the rounding error of computing the residual
-itself, the term LAPACK xGERFS adds to its error bound; no smaller backward
-error can be certified.  Otherwise LinearSolverError carries the residual
-history.  A nonpositive diagonal entry, which here signals an inadmissible
-reaction coefficient, raises CoercivityError once, before the factorization.
+Operators are checked symmetric at construction and are positive definite
+here, so each is factored once as symmetric and cached: a reverse
+Cuthill-McKee pre-ordering (George & Liu, 1981, ch. 4-5) makes the fill
+independent of the vertex numbering, then SuperLU in symmetric mode orders
+by minimum degree on A^T + A and takes diagonal pivots only.  No pivoting
+is safe for SPD matrices; a nonpositive diagonal entry (here an inadmissible
+reaction coefficient) raises CoercivityError before factoring.  Iterative
+refinement ``x += LU^-1 (b - A x)`` (Higham, 2002, ch. 12) takes at most
+five steps, each of which must lower the true residual.  A solution is
+accepted when its relative residual meets the tolerance, or else at the
+working-precision floor: a componentwise backward error
+``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at most
+``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error of
+computing the residual itself (the term of LAPACK xGERFS's error bound).
+Otherwise LinearSolverError carries the residual history.
 """
 from __future__ import annotations
 
@@ -24,26 +27,35 @@ from .errors import CoercivityError, LinearSolverError
 _REFINEMENT_STEPS = 5  # as LAPACK xGERFS (ITMAX)
 
 
+class _PermutedFactor:
+    """LU factor of ``A[perm][:, perm]`` that solves ``A x = b``."""
+
+    def __init__(self, lu, perm):
+        self.lu, self.perm = lu, perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
+
+
 class SparseSymOperator:
     """Assembled symmetric sparse operator with solve capability.
 
     Parameters
     ----------
     matrix : scipy sparse matrix
-        Square matrix in any scipy sparse format; stored as CSR.
-    symmetric : bool
-        If True (default), symmetry of the stored values is verified to
-        round-off at construction.
+        Square matrix in any scipy sparse format; stored as CSR.  Symmetry
+        of the stored values is verified to round-off at construction.
     """
 
-    def __init__(self, matrix, symmetric: bool = True):
+    def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix)
         n0, n1 = self.matrix.shape
         if n0 != n1:
             raise LinearSolverError("operator must be square")
         self.n = n0
-        self.symmetric = bool(symmetric)
-        if self.symmetric and self.matrix.nnz:
+        if self.matrix.nnz:
             gap = abs(self.matrix - self.matrix.T).max()
             scale = max(abs(self.matrix).max(), 1.0)
             if gap > 1e-14 * scale:
@@ -58,20 +70,23 @@ class SparseSymOperator:
                 f"dimension mismatch: operator is {self.n}, vector is {x.shape}")
         return self.matrix @ x
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def _factor(self):
         if self._factorization is None:
-            if np.any(self.diagonal() <= 0.0):
+            if np.any(self.matrix.diagonal() <= 0.0):
                 raise CoercivityError(
                     "operator has a nonpositive diagonal entry; "
                     "reaction coefficient is inadmissible")
+            # Imported here, not at start-up: only factoring needs it.
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+            perm = reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
             try:
-                self._factorization = spla.splu(self.matrix.tocsc())
+                self._factorization = _PermutedFactor(spla.splu(
+                    self.matrix[perm][:, perm].tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}), perm)
             except RuntimeError as exc:
                 raise LinearSolverError(
                     f"sparse factorization failed: {exc}") from exc

@@ -54,10 +54,6 @@ class OcpSolution:
     state_report: pde.SolveReport
 
 
-def _bounds_of(spec: pde.ProblemSpec) -> Bounds:
-    return Bounds(spec.alpha, spec.beta)
-
-
 class _LinearizedProblem:
     """State, adjoint and the shared factorized operator at a control."""
 
@@ -227,7 +223,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     sufficiency at the computed point.
     """
     spec.validate(mesh)
-    bounds = _bounds_of(spec)
+    bounds = Bounds(spec.alpha, spec.beta)
     areas = mesh.areas
     stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     u_values = (bounds.clamp(np.zeros(mesh.num_triangles)) if init is None

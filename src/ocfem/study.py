@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import fem, optimizer, pde
-from .errors import NonconvergenceError, OcfemError
+from .errors import LinearSolverError, NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, locate, refine)
@@ -175,8 +175,9 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
     """Solve the control problem on levels ``j_min..j_max`` and tabulate.
 
     Consecutive-level differences are measured by exact prolongation; rows
-    are produced for ``j_min..j_max-1``.  Nonconvergence at any level
-    aborts with the rows computed so far attached to the error.
+    are produced for ``j_min..j_max-1``.  Nonconvergence or a failed linear
+    solve at any level aborts with the rows computed so far attached to the
+    error as ``report``.
     """
     if not (0 <= j_min < j_max):
         raise OcfemError("levels must satisfy 0 <= j_min < j_max")
@@ -198,12 +199,11 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
                                       state_init=y_init, tol=tol,
                                       newton_tol=newton_tol,
                                       linear_tol=linear_tol)
-        except NonconvergenceError as err:
-            partial = _build_records(spec, bounds, meshes, maps, solutions,
-                                     j_min, classify=classify)
-            raise NonconvergenceError(
-                f"study aborted: level {level} did not converge ({err})",
-                report=partial) from err
+        except (NonconvergenceError, LinearSolverError) as err:
+            err.args = (f"study aborted at level {level}: {err}",)
+            err.report = _build_records(spec, bounds, meshes, maps,
+                                        solutions, j_min, classify=classify)
+            raise
         solutions.append(sol)
         if progress is not None:
             progress(level, sol)

@@ -208,3 +208,29 @@ def test_study_partial_csv_on_failure(tmp_path, capsys, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2          # one completed row attached
+
+
+def test_study_linear_solver_failure_writes_finished_rows(tmp_path, capsys,
+                                                          monkeypatch):
+    from ocfem import LinearSolverError
+    from ocfem.cli import CSV_HEADER
+    import ocfem.cli as cli_mod
+
+    real = cli_mod.study.optimizer.solve_ocp
+
+    def fails_at_level_3(spec, mesh, *args, **kwargs):
+        if mesh.level == 3:
+            raise LinearSolverError("forced failure")
+        return real(spec, mesh, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.study.optimizer, "solve_ocp",
+                        fails_at_level_3)
+    out = tmp_path / "partial.csv"
+    code = run_cli(["study", "--levels", "1..3", "--out", str(out)])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "level 3" in errors[0]
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"]

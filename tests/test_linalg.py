@@ -5,8 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
-                   build_unit_square_mesh, assemble_weighted_mass,
-                   assemble_stiffness)
+                   build_unit_square_mesh, assemble_volume_load,
+                   assemble_weighted_mass, assemble_stiffness, refine)
 
 
 def random_spd(n, seed):
@@ -131,3 +131,45 @@ def test_solve_is_deterministic():
     x1 = op.solve_spd(b)
     x2 = op.solve_spd(b)
     assert np.array_equal(x1, x2)
+
+
+def level6_meshes():
+    """Level 6 built directly, and refined from level 2 (another numbering)."""
+    refined = build_unit_square_mesh(2)
+    for _ in range(4):
+        refined, _ = refine(refined)
+    return {"direct": build_unit_square_mesh(6), "refined": refined}
+
+
+def stiffness_plus_mass(mesh):
+    return SparseSymOperator(assemble_stiffness(mesh).matrix +
+                             assemble_weighted_mass(mesh, 1.0).matrix)
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_symmetric_factor_fill_is_small_and_numbering_independent():
+    fills = {}
+    for name, mesh in level6_meshes().items():
+        op = stiffness_plus_mass(mesh)
+        fills[name] = fill(op._factor().lu)
+        default = fill(spla.splu(op.matrix.tocsc()))
+        assert fills[name] <= 0.75 * default, name
+    assert fills["refined"] == pytest.approx(fills["direct"], rel=0.05)
+
+
+def test_symmetric_factor_solution_is_numbering_independent():
+    def source(x):
+        return np.sin(3.0 * x[..., 0]) * np.cos(2.0 * x[..., 1]) + 1.0
+
+    solutions = []
+    for mesh in level6_meshes().values():
+        op = stiffness_plus_mass(mesh)
+        x = op.solve_spd(assemble_volume_load(mesh, source), tol=1e-12)
+        # Order the vertices by their coordinates, exact on this dyadic grid.
+        grid = np.rint(mesh.vertices * 2 ** 6).astype(int)
+        solutions.append(x[np.lexsort((grid[:, 0], grid[:, 1]))])
+    direct, refined = solutions
+    assert np.linalg.norm(refined - direct) <= 1e-12 * np.linalg.norm(direct)

@@ -305,3 +305,32 @@ def test_reduced_cg_negative_curvature_returns_preconditioned_residual():
     step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25),
                                  tol=1e-10, max_iterations=50)
     assert np.array_equal(step, r / problem.spec.nu)
+
+
+def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
+    # With a zero CG step the active-set update stops changing u after one
+    # iteration, so the KKT residual repeats; the third repeat must trigger
+    # the damped step u <- 0.5 u + 0.5 Proj(mean(y phi) / nu).
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(2)
+    bounds = Bounds(spec.alpha, spec.beta)
+    seen = []
+
+    class Recording(optimizer._LinearizedProblem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self)
+
+    monkeypatch.setattr(optimizer, "_LinearizedProblem", Recording)
+    monkeypatch.setattr(optimizer, "_reduced_cg",
+                        lambda problem, rhs, *args: np.zeros_like(rhs))
+    with pytest.raises(NonconvergenceError):
+        optimizer.solve_ocp(spec, mesh, max_outer=6)
+    projected = [bounds.clamp(p.product_mean / spec.nu) for p in seen]
+    kkt = [l2_diff_p0(p.u, P0Field(mesh, q)) for p, q in zip(seen, projected)]
+    assert len(seen) == 6
+    assert kkt[1] < kkt[0]
+    assert kkt[1] == kkt[2] == kkt[3] == kkt[4]     # stall = 1, 2, 3
+    damped = 0.5 * seen[4].u.values + 0.5 * projected[4]
+    assert np.array_equal(seen[5].u.values, damped)
+    assert kkt[5] < kkt[4]

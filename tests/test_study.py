@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from ocfem import (Bounds, NonconvergenceError, OcfemError, P0Field, P1Field,
-                   barycenters, build_unit_square_mesh, build_wh,
-                   classify_elements, eoc, get_preset, postprocess_control,
-                   postprocess_error_cross, refine, run_study)
+from ocfem import (Bounds, CoercivityError, NonconvergenceError, OcfemError,
+                   P0Field, P1Field, barycenters, build_unit_square_mesh,
+                   build_wh, classify_elements, eoc, get_preset,
+                   postprocess_control, postprocess_error_cross, refine,
+                   run_study)
 from ocfem import optimizer, study
 
 
@@ -206,4 +207,21 @@ def test_run_study_attaches_partial_results(monkeypatch):
     partial = err.value.report
     assert isinstance(partial, list)
     assert [r.level for r in partial] == [1]
+    assert "level 3" in str(err.value)
+
+
+def test_run_study_attaches_partial_results_to_linear_solve_failure(
+        monkeypatch):
+    spec = get_preset("manufactured-constant")
+    real = optimizer.solve_ocp
+
+    def fails_at_level_3(spec_, mesh, **kwargs):
+        if mesh.level == 3:
+            raise CoercivityError("forced")
+        return real(spec_, mesh, **kwargs)
+
+    monkeypatch.setattr(study.optimizer, "solve_ocp", fails_at_level_3)
+    with pytest.raises(CoercivityError) as err:
+        run_study(spec, 1, 4)
+    assert [r.level for r in err.value.report] == [1]
     assert "level 3" in str(err.value)
