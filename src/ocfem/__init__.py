@@ -11,8 +11,8 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
                   assemble_volume_load, assemble_weighted_mass,
                   elementwise_p1_product_mean, integrate, l2_diff_p0,
                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
-                  l2_norm_p0, l2_norm_p1, l2_project_p0, linf_diff_p0,
-                  linf_diff_p1, prolong_p0, prolong_p1)
+                  l2_norm_p1, l2_project_p0, linf_diff_p1, prolong_p0,
+                  prolong_p1)
 from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    barycentric_coordinates, build_unit_square_mesh, locate,
@@ -24,7 +24,7 @@ from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)
 from .presets import PRESET_NAMES, get_preset
 from .study import (Classification, PostprocessedControl, StudyRecord,
-                    build_wh, classify_elements, eoc, postprocess_control,
+                    build_wh, classify_elements, eoc,
                     postprocess_error_cross, run_study)
 
 __version__ = "0.1.0"

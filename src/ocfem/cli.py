@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import fem, optimizer, pde, presets, study
-from .errors import (AdmissibilityError, LinearSolverError,
+from .errors import (AdmissibilityError, LinearSolverError, MeshError,
                      NonconvergenceError, OcfemError)
 from .fem import P0Field, P1Field
 from .mesh import Mesh, build_unit_square_mesh
@@ -147,11 +147,9 @@ def _write_lines(lines: List[str], out: Optional[str]) -> None:
             handle.write(text)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
+def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     mesh = build_unit_square_mesh(cfg.level)
     try:
-        spec.validate(mesh)
         solution = optimizer.solve_ocp(spec, mesh, tol=cfg.tol_kkt,
                                        newton_tol=cfg.tol_newton,
                                        linear_tol=cfg.tol_linear)
@@ -188,8 +186,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_study(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
+def cmd_study(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     try:
         spec.validate(build_unit_square_mesh(min(cfg.j_min, 3)))
     except AdmissibilityError as err:
@@ -256,7 +253,7 @@ def _check_projection(level: int) -> str:
         return x[..., 0] ** 2 + 0.5 * x[..., 0] * x[..., 1]
 
     projected = fem.l2_project_p0(mesh, source)
-    vals = fem._as_quad_values(mesh, source, fem.TRIANGLE_RULE)
+    vals = fem._as_quad_values(mesh, source)
     defect = vals - projected.values[:, None]
     per_t = mesh.areas * (defect @ fem.TRIANGLE_RULE.weights)
     rng = np.random.default_rng(7)
@@ -343,8 +340,7 @@ def _check_z_eta(spec, level: int) -> str:
     return f"agreement gap {gap:.2e}"
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
+def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     mesh = build_unit_square_mesh(min(cfg.level, 6))
     results = []
     admissible = True
@@ -439,17 +435,17 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        cfg.build_spec()
+        spec = cfg.build_spec()
     except (KeyError, OcfemError) as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    if args.command == "solve":
-        return cmd_solve(cfg)
-    if args.command == "study":
-        return cmd_study(cfg)
-    if args.command == "check":
-        return cmd_check(cfg)
-    return 2
+    command = {"solve": cmd_solve, "study": cmd_study,
+               "check": cmd_check}[args.command]
+    try:
+        return command(cfg, spec)
+    except MeshError as err:          # e.g. a level too fine to index
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ class OcfemError(Exception):
     """Base class for all package errors."""
 
 
-class MeshSizeError(OcfemError):
-    """Requested refinement level would overflow the vertex index type."""
-
-
 class MeshError(OcfemError):
     """Invalid mesh data or unsupported mesh query."""
+
+
+class MeshSizeError(MeshError):
+    """Requested refinement level would overflow the vertex index type."""
 
 
 class LinearSolverError(OcfemError):

@@ -79,9 +79,9 @@ class P1Field:
     def from_function(cls, mesh: Mesh, f) -> "P1Field":
         return cls(mesh, np.asarray(f(mesh.vertices), dtype=float))
 
-    def at_quadrature(self, rule: QuadratureRule = TRIANGLE_RULE) -> np.ndarray:
+    def at_quadrature(self) -> np.ndarray:
         """Values at all quadrature points, shape (nt, nq)."""
-        return self.values[self.mesh.triangles] @ rule.points.T
+        return self.values[self.mesh.triangles] @ TRIANGLE_RULE.points.T
 
     def eval_in_triangles(self, tri_idx, points) -> np.ndarray:
         """Evaluate at ``points`` known to lie in triangles ``tri_idx``."""
@@ -116,9 +116,6 @@ class P0Field:
     def constant(cls, mesh: Mesh, value: float) -> "P0Field":
         return cls(mesh, np.full(mesh.num_triangles, float(value)))
 
-    def evaluate(self, points) -> np.ndarray:
-        return self.values[locate(self.mesh, points)]
-
     def write_text(self, stream) -> None:
         stream.write(f"p0 {len(self.values)}\n")
         for v in self.values:
@@ -139,18 +136,15 @@ def _per_mesh(mesh: Mesh, key: str, build):
     return cache[key]
 
 
-def quadrature_points(mesh: Mesh,
-                      rule: QuadratureRule = TRIANGLE_RULE) -> np.ndarray:
+def quadrature_points(mesh: Mesh) -> np.ndarray:
     """Physical coordinates of all volume quadrature points, (nt, nq, 2).
 
-    The default rule's points are computed once per mesh and are read-only.
+    Computed once per mesh and read-only.
     """
     def build():
         corners = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
-        return (np.einsum("qk,tkd->tqd", rule.points, corners),)
+        return (np.einsum("qk,tkd->tqd", TRIANGLE_RULE.points, corners),)
 
-    if rule is not TRIANGLE_RULE:
-        return build()[0]
     return _per_mesh(mesh, "quadrature_points", build)[0]
 
 
@@ -165,15 +159,15 @@ def at_points(fn, points: np.ndarray, y=None) -> np.ndarray:
                            (len(flat),)).reshape(shape)
 
 
-def _as_quad_values(mesh, source, rule):
+def _as_quad_values(mesh, source):
     """Coerce a pointwise evaluator / field / array to values (nt, nq)."""
-    nt, nq = mesh.num_triangles, len(rule.weights)
+    nt, nq = mesh.num_triangles, len(TRIANGLE_RULE.weights)
     if isinstance(source, P1Field):
-        return source.at_quadrature(rule)
+        return source.at_quadrature()
     if isinstance(source, P0Field):
         return np.broadcast_to(source.values[:, None], (nt, nq))
     if callable(source):
-        return at_points(source, quadrature_points(mesh, rule))
+        return at_points(source, quadrature_points(mesh))
     vals = np.asarray(source, dtype=float)
     if vals.shape != (nt, nq):
         raise OcfemError(f"expected quadrature values of shape {(nt, nq)}")
@@ -187,8 +181,7 @@ def _scatter_nodal(mesh: Mesh, contributions: np.ndarray) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
-def assemble_stiffness(mesh: Mesh, diffusion=None,
-                       rule: QuadratureRule = TRIANGLE_RULE) -> SparseSymOperator:
+def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
     """Stiffness operator of the diffusion bilinear form.
 
     ``diffusion`` is None for the identity matrix (Laplacian) or a callable
@@ -200,7 +193,7 @@ def assemble_stiffness(mesh: Mesh, diffusion=None,
     if diffusion is None:
         local = np.einsum("tid,tjd->tij", g, g)
     else:
-        pts = quadrature_points(mesh, rule).reshape(-1, 2)
+        pts = quadrature_points(mesh).reshape(-1, 2)
         coef = np.asarray(diffusion(pts), dtype=float)
         if coef.shape != (len(pts), 2, 2):
             raise OcfemError("diffusion evaluator must return (m, 2, 2)")
@@ -208,15 +201,14 @@ def assemble_stiffness(mesh: Mesh, diffusion=None,
                 1e-12 * max(np.max(np.abs(coef)), 1.0):
             raise OcfemError("diffusion coefficient matrix is not symmetric")
         avg = np.einsum("q,tqab->tab",
-                        rule.weights,
+                        TRIANGLE_RULE.weights,
                         coef.reshape(mesh.num_triangles, -1, 2, 2))
         local = np.einsum("tia,tab,tjb->tij", g, avg, g)
     local *= mesh.areas[:, None, None]
     return _operator_from_local(mesh, local)
 
 
-def assemble_weighted_mass(mesh: Mesh, weight=None,
-                           rule: QuadratureRule = TRIANGLE_RULE) -> SparseSymOperator:
+def assemble_weighted_mass(mesh: Mesh, weight=None) -> SparseSymOperator:
     """Mass operator of ``int w y z`` for a bounded weight.
 
     ``weight`` may be None (w = 1), a scalar, a P0Field (exact per-element
@@ -231,9 +223,10 @@ def assemble_weighted_mass(mesh: Mesh, weight=None,
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         local = (w * mesh.areas)[:, None, None] * base
     else:
-        vals = _as_quad_values(mesh, weight, rule)
-        wq = vals * rule.weights                      # (nt, nq)
-        local = np.einsum("tq,qi,qj->tij", wq, rule.points, rule.points)
+        vals = _as_quad_values(mesh, weight)
+        wq = vals * TRIANGLE_RULE.weights             # (nt, nq)
+        lam = TRIANGLE_RULE.points
+        local = np.einsum("tq,qi,qj->tij", wq, lam, lam)
         local *= mesh.areas[:, None, None]
     return _operator_from_local(mesh, local)
 
@@ -280,11 +273,10 @@ def add_assembled(mesh: Mesh, a: SparseSymOperator,
     return _operator_on_pattern(mesh, a.matrix.data + b.matrix.data)
 
 
-def assemble_volume_load(mesh: Mesh, f,
-                         rule: QuadratureRule = TRIANGLE_RULE) -> np.ndarray:
+def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector with entries ``int_Omega f phi_i`` by quadrature."""
-    vals = _as_quad_values(mesh, f, rule)
-    contrib = (vals * rule.weights) @ rule.points     # (nt, 3)
+    vals = _as_quad_values(mesh, f)
+    contrib = (vals * TRIANGLE_RULE.weights) @ TRIANGLE_RULE.points  # (nt, 3)
     contrib *= mesh.areas[:, None]
     return _scatter_nodal(mesh, contrib)
 
@@ -326,8 +318,7 @@ def elementwise_p1_product_mean(mesh: Mesh, a: P1Field, b: P1Field) -> np.ndarra
     return (np.sum(av * bv, axis=1) + av.sum(axis=1) * bv.sum(axis=1)) / 12.0
 
 
-def l2_project_p0(mesh: Mesh, source,
-                  rule: QuadratureRule = TRIANGLE_RULE) -> P0Field:
+def l2_project_p0(mesh: Mesh, source) -> P0Field:
     """L2-orthogonal projection onto elementwise constants.
 
     The element value is the elementwise mean of the source: exact for P0
@@ -337,19 +328,14 @@ def l2_project_p0(mesh: Mesh, source,
         return P0Field(mesh, source.values.copy())
     if isinstance(source, P1Field):
         return P0Field(mesh, source.values[mesh.triangles].mean(axis=1))
-    vals = _as_quad_values(mesh, source, rule)
-    return P0Field(mesh, vals @ rule.weights)
+    vals = _as_quad_values(mesh, source)
+    return P0Field(mesh, vals @ TRIANGLE_RULE.weights)
 
 
-def integrate(mesh: Mesh, source,
-              rule: QuadratureRule = TRIANGLE_RULE) -> float:
+def integrate(mesh: Mesh, source) -> float:
     """Quadrature value of ``int_Omega source``."""
-    vals = _as_quad_values(mesh, source, rule)
-    return float(mesh.areas @ (vals @ rule.weights))
-
-
-def l2_norm_p0(field: P0Field) -> float:
-    return float(np.sqrt(np.sum(field.mesh.areas * field.values ** 2)))
+    vals = _as_quad_values(mesh, source)
+    return float(mesh.areas @ (vals @ TRIANGLE_RULE.weights))
 
 
 def l2_diff_p0(a: P0Field, b: P0Field) -> float:
@@ -372,11 +358,6 @@ def l2_norm_p1(field: P1Field) -> float:
 
 
 def linf_diff_p1(a: P1Field, b: P1Field) -> float:
-    _require_same_mesh(a, b)
-    return float(np.max(np.abs(a.values - b.values))) if len(a.values) else 0.0
-
-
-def linf_diff_p0(a: P0Field, b: P0Field) -> float:
     _require_same_mesh(a, b)
     return float(np.max(np.abs(a.values - b.values))) if len(a.values) else 0.0
 

@@ -48,12 +48,10 @@ class Mesh:
         Gradients of the three barycentric coordinate functions.
     parent : Mesh or None
         Mesh this one was refined from, if any.
-    parent_elements : (nt,) int array or None
-        For refined meshes, the parent triangle of each triangle.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, level,
-                 _structure=None, _parent=None, _parent_elements=None):
+                 _structure=None, _parent=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=_INDEX_DTYPE)
         self.boundary_edges = np.ascontiguousarray(boundary_edges,
@@ -86,14 +84,9 @@ class Mesh:
 
         self._structure = _structure
         self.parent = _parent
-        self.parent_elements = (None if _parent_elements is None else
-                                np.ascontiguousarray(_parent_elements,
-                                                     dtype=_INDEX_DTYPE))
         for arr in (self.vertices, self.triangles, self.boundary_edges,
                     self.areas, self.grads):
             arr.setflags(write=False)
-        if self.parent_elements is not None:
-            self.parent_elements.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -276,7 +269,7 @@ def refine(mesh: Mesh):
     ])
 
     child = Mesh(vertices, children, boundary_edges, mesh.level + 1,
-                 _parent=mesh, _parent_elements=element_map)
+                 _parent=mesh)
     pmap = ProlongationMap(mesh, child, node_parents, node_weights,
                            element_map)
     return child, pmap

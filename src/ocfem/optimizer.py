@@ -34,10 +34,7 @@ class Bounds:
             raise OcfemError("bounds must satisfy alpha < beta")
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
-        out = np.maximum(values, self.alpha)
-        if math.isfinite(self.beta):
-            out = np.minimum(out, self.beta)
-        return out
+        return np.minimum(np.maximum(values, self.alpha), self.beta)
 
 
 @dataclass
@@ -178,7 +175,13 @@ def hessian_bilinear(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field,
     return current
 
 
-def _reduced_cg(problem, rhs, inactive, areas, tol, max_iterations):
+# Relative residual target and iteration budget of the reduced CG.
+_CG_TOL = 1e-10
+_CG_MAX_ITERATIONS = 200
+
+
+def _reduced_cg(problem, rhs, inactive, areas, tol=_CG_TOL,
+                max_iterations=_CG_MAX_ITERATIONS):
     """CG on the inactive block of the Hessian in the elementwise L2 inner
     product, preconditioned by 1/nu.  Truncated on indefiniteness."""
     nu = problem.spec.nu
@@ -214,7 +217,6 @@ def _reduced_cg(problem, rhs, inactive, areas, tol, max_iterations):
 def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
               tol: float = 1e-9, max_outer: int = 50,
               newton_tol: float = 1e-11, linear_tol: float = 1e-12,
-              cg_tol: float = 1e-10, cg_max_iterations: int = 200,
               state_init: P1Field = None) -> OcpSolution:
     """Solve the discrete control problem to a KKT residual below ``tol``.
 
@@ -250,12 +252,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
                                outer_iterations=it, converged=False,
                                state_report=problem.report)
         if kkt <= tol:
-            best = OcpSolution(control=P0Field(mesh, u_values.copy()),
-                               state=problem.state, adjoint=problem.adjoint,
-                               cost=cost(spec, mesh, P0Field(mesh, u_values),
-                                         state=problem.state),
-                               kkt_residual=kkt, outer_iterations=it,
-                               converged=True, state_report=problem.report)
+            # Every earlier iterate had a residual above tol, so ``best`` is
+            # this iterate.
+            best.cost = cost(spec, mesh, best.control, state=best.state)
+            best.converged = True
             return best
 
         stall = stall + 1 if kkt >= last_kkt else 0
@@ -268,13 +268,11 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
 
         multiplier = spec.nu * u_values - problem.product_mean
         active_low = q < spec.alpha
-        active_high = (q > spec.beta) if math.isfinite(spec.beta) else \
-            np.zeros_like(active_low)
+        active_high = q > spec.beta
         inactive = ~(active_low | active_high)
         delta = np.zeros_like(u_values)
         delta[active_low] = spec.alpha - u_values[active_low]
-        if math.isfinite(spec.beta):
-            delta[active_high] = spec.beta - u_values[active_high]
+        delta[active_high] = spec.beta - u_values[active_high]
 
         rhs = -multiplier
         if np.any(~inactive):
@@ -282,7 +280,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
                 np.where(inactive, 0.0, delta))
             rhs -= h_active
         step = _reduced_cg(problem, np.where(inactive, rhs, 0.0), inactive,
-                           areas, cg_tol, cg_max_iterations)
+                           areas)
         u_values = bounds.clamp(u_values + delta + step)
 
     best.cost = cost(spec, mesh, best.control, state=best.state)

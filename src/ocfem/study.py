@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
-from .fem import P0Field, P1Field
+from .fem import P0Field, P1Field, TRIANGLE_RULE
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, locate, refine)
 from .optimizer import Bounds, OcpSolution
@@ -38,7 +38,7 @@ class StudyRecord:
     eoc_upost: Optional[float]
     kkt_residual: float
     outer_iterations: int
-    measure_t1: Optional[float]
+    measure_t1: float
 
 
 def eoc(e_prev: float, e_cur: float) -> Optional[float]:
@@ -68,12 +68,6 @@ class PostprocessedControl:
         return self.eval_in_triangles(locate(self.mesh, points), points)
 
 
-def postprocess_control(mesh: Mesh, state: P1Field, adjoint: P1Field,
-                        bounds: Bounds, nu: float) -> PostprocessedControl:
-    """Second-order recovered control from converged solution fields."""
-    return PostprocessedControl(mesh, state, adjoint, bounds, nu)
-
-
 def postprocess_error_cross(pmap: ProlongationMap,
                             coarse: PostprocessedControl,
                             fine: PostprocessedControl) -> float:
@@ -86,16 +80,14 @@ def postprocess_error_cross(pmap: ProlongationMap,
     """
     if coarse.mesh is not pmap.parent or fine.mesh is not pmap.child:
         raise OcfemError("post-processed fields do not match the map")
-    rule = fem.TRIANGLE_RULE
     mesh = fine.mesh
     fine_vals = fine.bounds.clamp(
-        fine.state.at_quadrature(rule) * fine.adjoint.at_quadrature(rule)
-        / fine.nu)
-    pts = fem.quadrature_points(mesh, rule)          # (nt, nq, 2)
+        fine.state.at_quadrature() * fine.adjoint.at_quadrature() / fine.nu)
+    pts = fem.quadrature_points(mesh)                # (nt, nq, 2)
     parents = pmap.element_map[:, None] * np.ones(pts.shape[1], dtype=int)
     coarse_vals = coarse.eval_in_triangles(parents, pts)
     d2 = (fine_vals - coarse_vals) ** 2
-    return float(np.sqrt(np.sum(mesh.areas * (d2 @ rule.weights))))
+    return float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
 
 
 @dataclass
@@ -141,9 +133,8 @@ def classify_elements(mesh: Mesh, control, bounds: Bounds,
     points = np.concatenate([verts, centers], axis=1)  # (nt, 4, 2)
     vals = _control_samples(mesh, control, points)
 
-    active = np.abs(vals - bounds.alpha) <= tol_active
-    if math.isfinite(bounds.beta):
-        active |= np.abs(vals - bounds.beta) <= tol_active
+    active = (np.abs(vals - bounds.alpha) <= tol_active) | \
+        (np.abs(vals - bounds.beta) <= tol_active)
     mixed = active.any(axis=1) & (~active).any(axis=1)
 
     sample_points = centers[:, 0, :].copy()
@@ -170,7 +161,7 @@ def build_wh(mesh: Mesh, control, classification: Classification) -> P0Field:
 
 def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
               tol: float = 1e-9, newton_tol: float = 1e-11,
-              linear_tol: float = 1e-12, classify: bool = True,
+              linear_tol: float = 1e-12,
               progress: Optional[Callable] = None) -> List[StudyRecord]:
     """Solve the control problem on levels ``j_min..j_max`` and tabulate.
 
@@ -202,7 +193,7 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
         except (NonconvergenceError, LinearSolverError) as err:
             err.args = (f"study aborted at level {level}: {err}",)
             err.report = _build_records(spec, bounds, meshes, maps,
-                                        solutions, j_min, classify=classify)
+                                        solutions, j_min)
             raise
         solutions.append(sol)
         if progress is not None:
@@ -210,35 +201,29 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
         if idx < len(maps):
             u_init = fem.prolong_p0(maps[idx], sol.control)
             y_init = fem.prolong_p1(maps[idx], sol.state)
-    return _build_records(spec, bounds, meshes, maps, solutions, j_min,
-                          classify=classify)
+    return _build_records(spec, bounds, meshes, maps, solutions, j_min)
 
 
-def _build_records(spec, bounds, meshes, maps, solutions, j_min, *,
-                   classify=True):
+def _build_records(spec, bounds, meshes, maps, solutions, j_min):
     rows: List[StudyRecord] = []
     n_pairs = max(len(solutions) - 1, 0)
-    reference = None
-    if classify and solutions:
+    if n_pairs:
         last = solutions[-1]
-        reference = postprocess_control(meshes[len(solutions) - 1],
-                                        last.state, last.adjoint, bounds,
-                                        spec.nu)
+        reference = PostprocessedControl(meshes[len(solutions) - 1],
+                                         last.state, last.adjoint, bounds,
+                                         spec.nu)
     for i in range(n_pairs):
         coarse, fine = solutions[i], solutions[i + 1]
         pmap = maps[i]
         e_u = fem.l2_diff_p0_cross(pmap, coarse.control, fine.control)
         e_y = fem.l2_diff_p1_cross(pmap, coarse.state, fine.state)
         e_phi = fem.l2_diff_p1_cross(pmap, coarse.adjoint, fine.adjoint)
-        pp_coarse = postprocess_control(meshes[i], coarse.state,
-                                        coarse.adjoint, bounds, spec.nu)
-        pp_fine = postprocess_control(meshes[i + 1], fine.state,
-                                      fine.adjoint, bounds, spec.nu)
+        pp_coarse = PostprocessedControl(meshes[i], coarse.state,
+                                         coarse.adjoint, bounds, spec.nu)
+        pp_fine = PostprocessedControl(meshes[i + 1], fine.state,
+                                       fine.adjoint, bounds, spec.nu)
         e_upost = postprocess_error_cross(pmap, pp_coarse, pp_fine)
-        measure = None
-        if reference is not None:
-            measure = classify_elements(meshes[i], reference,
-                                        bounds).measure_t1
+        measure = classify_elements(meshes[i], reference, bounds).measure_t1
         prev = rows[-1] if rows else None
         rows.append(StudyRecord(
             level=j_min + i, h=meshes[i].h,

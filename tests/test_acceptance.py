@@ -371,7 +371,7 @@ def test_criterion9_projection_suite():
             return x[..., 0] ** 2
 
         proj = fem.l2_project_p0(mesh, source)
-        vals = fem._as_quad_values(mesh, source, fem.TRIANGLE_RULE)
+        vals = fem._as_quad_values(mesh, source)
         residual = mesh.areas * ((vals - proj.values[:, None])
                                  @ fem.TRIANGLE_RULE.weights)
         worst_orth = max(worst_orth, float(np.max(np.abs(residual))))

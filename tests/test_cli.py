@@ -37,6 +37,7 @@ _BAD_CONFIGURATIONS = [
     (["--alpha", "2", "--beta", "1"], "alpha < beta"),
     (["--nu", "inf"], "nu"),
     (["--beta", "nan"], "nan"),
+    (["--level", "16"], "level 16"),
 ]
 
 

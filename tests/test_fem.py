@@ -207,7 +207,7 @@ def test_projection_is_idempotent_and_orthogonal():
     again = l2_project_p0(mesh, proj)
     assert np.array_equal(again.values, proj.values)
     # orthogonality against every P0 direction via per-element residuals
-    vals = fem._as_quad_values(mesh, source, TRIANGLE_RULE)
+    vals = fem._as_quad_values(mesh, source)
     residual = mesh.areas * ((vals - proj.values[:, None])
                              @ TRIANGLE_RULE.weights)
     assert np.max(np.abs(residual)) <= 1e-12
@@ -231,8 +231,7 @@ def test_projection_error_decay_against_monomial_oracle():
         oracles.append(oracle)
 
         proj = l2_project_p0(mesh, lambda x: x[..., 0] ** 2)
-        vals = fem._as_quad_values(mesh, lambda x: x[..., 0] ** 2,
-                                   TRIANGLE_RULE)
+        vals = fem._as_quad_values(mesh, lambda x: x[..., 0] ** 2)
         d2 = (vals - proj.values[:, None]) ** 2
         err = float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
         errors.append(err)

@@ -260,6 +260,16 @@ def test_solve_ocp_flagship_fixed_point_and_feasibility():
     assert l2_diff_p0(sol.control, projected) <= 1e-9
 
 
+def test_solve_ocp_unbounded_above_converges():
+    spec = get_preset("paper-sec6").with_overrides(beta=np.inf)
+    mesh = build_unit_square_mesh(3)
+    sol = optimizer.solve_ocp(spec, mesh, tol=1e-9)
+    assert sol.converged
+    assert sol.kkt_residual <= 1e-9
+    assert np.all(sol.control.values >= spec.alpha)
+    assert np.max(sol.control.values) > 1.0     # above the preset's beta
+
+
 def test_solve_ocp_warm_start():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)

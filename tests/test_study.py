@@ -5,7 +5,7 @@ import pytest
 from ocfem import (Bounds, CoercivityError, NonconvergenceError, OcfemError,
                    P0Field, P1Field, barycenters, build_unit_square_mesh,
                    build_wh, classify_elements, eoc, get_preset,
-                   postprocess_control, postprocess_error_cross, refine,
+                   PostprocessedControl, postprocess_error_cross, refine,
                    run_study)
 from ocfem import optimizer, study
 
@@ -20,9 +20,9 @@ def test_eoc_values():
 
 def test_postprocess_zero_state():
     mesh = build_unit_square_mesh(2)
-    pp = postprocess_control(mesh, P1Field.zeros(mesh),
-                             P1Field(mesh, np.ones(mesh.num_vertices)),
-                             Bounds(-1.0, 1.0), 0.05)
+    pp = PostprocessedControl(mesh, P1Field.zeros(mesh),
+                              P1Field(mesh, np.ones(mesh.num_vertices)),
+                              Bounds(-1.0, 1.0), 0.05)
     pts = np.array([[0.2, 0.3], [0.9, 0.1]])
     assert pp(pts) == pytest.approx(0.0, abs=0.0)
 
@@ -32,7 +32,7 @@ def test_postprocess_clamps():
     nu = 0.05
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
-    pp = postprocess_control(mesh, y, phi, Bounds(-1.0, 1.0), nu)
+    pp = PostprocessedControl(mesh, y, phi, Bounds(-1.0, 1.0), nu)
     assert pp(np.array([[0.5, 0.5]])) == pytest.approx(1.0, abs=0.0)
 
 
@@ -41,10 +41,10 @@ def test_postprocess_cross_error_on_constants():
     child, pmap = refine(mesh)
     nu = 1.0
     bounds = Bounds(-10.0, 10.0)
-    pp_coarse = postprocess_control(
+    pp_coarse = PostprocessedControl(
         mesh, P1Field(mesh, np.ones(mesh.num_vertices)),
         P1Field(mesh, np.full(mesh.num_vertices, 0.25)), bounds, nu)
-    pp_fine = postprocess_control(
+    pp_fine = PostprocessedControl(
         child, P1Field(child, np.ones(child.num_vertices)),
         P1Field(child, np.full(child.num_vertices, 0.75)), bounds, nu)
     assert postprocess_error_cross(pmap, pp_coarse, pp_fine) == \
@@ -150,8 +150,8 @@ def test_comparison_field_second_order_on_pure_elements():
             init = None
             state = None
     bounds = Bounds(spec.alpha, spec.beta)
-    ref = postprocess_control(meshes[-1], solutions[-1].state,
-                              solutions[-1].adjoint, bounds, spec.nu)
+    ref = PostprocessedControl(meshes[-1], solutions[-1].state,
+                               solutions[-1].adjoint, bounds, spec.nu)
     gaps = []
     for i in (0, 1):
         mesh = meshes[i]
