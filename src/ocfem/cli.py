@@ -31,29 +31,19 @@ CSV_HEADER = ("j,h,e_u,eoc_u,e_y,eoc_y,e_phi,eoc_phi,"
 class RunConfig:
     """Resolved run configuration (preset plus scalar overrides)."""
 
-    preset: str
+    preset: str = "paper-sec6"
     nu: Optional[float] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
     level: int = 4
-    j_min: int = 3
-    j_max: int = 8
-    tol_kkt: float = 1e-9
-    tol_newton: float = 1e-11
-    tol_linear: float = 1e-12
+    levels: Tuple[int, int] = (3, 8)
     out: Optional[str] = None
     emit_fields: bool = False
 
     def build_spec(self) -> pde.ProblemSpec:
-        spec = presets.get_preset(self.preset)
-        overrides = {}
-        if self.nu is not None:
-            overrides["nu"] = self.nu
-        if self.alpha is not None:
-            overrides["alpha"] = self.alpha
-        if self.beta is not None:
-            overrides["beta"] = self.beta
-        return spec.with_overrides(**overrides) if overrides else spec
+        overrides = {key: getattr(self, key) for key in ("nu", "alpha", "beta")
+                     if getattr(self, key) is not None}
+        return presets.get_preset(self.preset).with_overrides(**overrides)
 
 
 def parse_levels(text: str) -> Tuple[int, int]:
@@ -65,6 +55,15 @@ def parse_levels(text: str) -> Tuple[int, int]:
     if not (0 <= a < b):
         raise ValueError(f"levels must satisfy 0 <= A < B, got {text!r}")
     return a, b
+
+
+# Parser of each config-file key; every key is also a flag of the same name.
+# float("inf") handles beta=inf.
+_PARSERS = {
+    "preset": str, "nu": float, "alpha": float, "beta": float,
+    "level": int, "levels": parse_levels, "out": lambda text: text or None,
+    "emit_fields": lambda text: text.lower() in ("1", "true", "yes"),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -82,38 +81,15 @@ def load_config_file(path: str) -> dict:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(preset=args.preset or "paper-sec6")
-    file_values = load_config_file(args.config) if args.config else {}
-    for key, val in file_values.items():
-        if key == "preset":
-            cfg.preset = val
-        elif key in ("nu", "alpha", "beta", "tol_kkt", "tol_newton",
-                     "tol_linear"):
-            setattr(cfg, key, float(val))   # float("inf") handles beta=inf
-        elif key == "level":
-            cfg.level = int(val)
-        elif key == "levels":
-            cfg.j_min, cfg.j_max = parse_levels(val)
-        elif key == "out":
-            cfg.out = val
-        elif key == "emit_fields":
-            cfg.emit_fields = val.lower() in ("1", "true", "yes")
-        else:
+    """File values first, then the flags given on the command line."""
+    values = load_config_file(args.config) if args.config else {}
+    for key in values:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
-    if args.preset:
-        cfg.preset = args.preset
-    for key in ("nu", "alpha", "beta"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if getattr(args, "level", None) is not None:
-        cfg.level = args.level
-    if getattr(args, "levels", None):
-        cfg.j_min, cfg.j_max = parse_levels(args.levels)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "emit_fields", False):
-        cfg.emit_fields = True
+    for key in _PARSERS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**{key: _PARSERS[key](val) for key, val in values.items()})
     if cfg.level < 0:
         raise ValueError(f"level must be >= 0, got {cfg.level}")
     return cfg
@@ -150,9 +126,7 @@ def _write_lines(lines: List[str], out: Optional[str]) -> None:
 def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     mesh = build_unit_square_mesh(cfg.level)
     try:
-        solution = optimizer.solve_ocp(spec, mesh, tol=cfg.tol_kkt,
-                                       newton_tol=cfg.tol_newton,
-                                       linear_tol=cfg.tol_linear)
+        solution = optimizer.solve_ocp(spec, mesh)
     except (AdmissibilityError, NonconvergenceError, LinearSolverError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -188,7 +162,7 @@ def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
 
 def cmd_study(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     try:
-        spec.validate(build_unit_square_mesh(min(cfg.j_min, 3)))
+        spec.validate(build_unit_square_mesh(min(cfg.levels[0], 3)))
     except AdmissibilityError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -198,11 +172,7 @@ def cmd_study(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
               f"iters={sol.outer_iterations}", file=sys.stderr)
 
     try:
-        records = study.run_study(spec, cfg.j_min, cfg.j_max,
-                                  tol=cfg.tol_kkt,
-                                  newton_tol=cfg.tol_newton,
-                                  linear_tol=cfg.tol_linear,
-                                  progress=progress)
+        records = study.run_study(spec, *cfg.levels, progress=progress)
     except (NonconvergenceError, LinearSolverError) as err:
         _write_lines(format_csv_rows(err.report or []), cfg.out)
         print(f"error: {err}", file=sys.stderr)
@@ -266,9 +236,8 @@ def _check_projection(level: int) -> str:
     return f"orthogonality defect {worst:.2e}"
 
 
-def _check_manufactured(level: int) -> str:
+def _check_manufactured(mesh: Mesh) -> str:
     spec = presets.get_preset("manufactured-constant")
-    mesh = build_unit_square_mesh(level)
     u = P0Field.zeros(mesh)
     state, report = pde.solve_state(spec, mesh, u, tol=1e-13)
     err = fem.linf_diff_p1(state, P1Field(mesh, np.ones(mesh.num_vertices)))
@@ -278,7 +247,9 @@ def _check_manufactured(level: int) -> str:
     return f"residual {report.residual:.2e}, field error {err:.2e}"
 
 
-def _battery_fields(spec, mesh):
+def _linearization(spec, mesh):
+    """The derivative checks' fixture: the linearization at an admissible
+    control, plus two P0 directions."""
     def profile(x):
         return 0.3 + 0.2 * np.sin(2.0 * np.pi * x[..., 0]) * \
             np.cos(np.pi * x[..., 1])
@@ -291,16 +262,14 @@ def _battery_fields(spec, mesh):
 
     u = fem.l2_project_p0(mesh, profile)
     u = P0Field(mesh, optimizer.Bounds(spec.alpha, spec.beta).clamp(u.values))
-    return u, fem.l2_project_p0(mesh, dir1), fem.l2_project_p0(mesh, dir2)
+    return (optimizer._LinearizedProblem(spec, mesh, u),
+            fem.l2_project_p0(mesh, dir1), fem.l2_project_p0(mesh, dir2))
 
 
-def _check_gradient_fd(spec, level: int) -> str:
-    mesh = build_unit_square_mesh(level)
-    u, v, _ = _battery_fields(spec, mesh)
-    state, _ = pde.solve_state(spec, mesh, u)
-    adjoint = pde.solve_adjoint(spec, mesh, u, state)
+def _check_gradient_fd(spec, problem, v, _) -> str:
+    mesh, u, state = problem.mesh, problem.u, problem.state
     grad = optimizer.gradient_field(spec, mesh, u, state=state,
-                                    adjoint=adjoint)
+                                    adjoint=problem.adjoint)
     derivative = float(np.sum(mesh.areas * grad.values * v.values))
     t = 1e-4
     plus = optimizer.cost(spec, mesh, P0Field(mesh, u.values + t * v.values),
@@ -314,10 +283,8 @@ def _check_gradient_fd(spec, level: int) -> str:
     return f"relative error {rel:.2e} at t={t:g}"
 
 
-def _check_hessian_symmetry(spec, level: int) -> str:
-    mesh = build_unit_square_mesh(level)
-    u, v1, v2 = _battery_fields(spec, mesh)
-    problem = optimizer._LinearizedProblem(spec, mesh, u)
+def _check_hessian_symmetry(spec, problem, v1, v2) -> str:
+    mesh, u = problem.mesh, problem.u
     h12 = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, problem=problem)
     h21 = optimizer.hessian_bilinear(spec, mesh, u, v2, v1, problem=problem)
     gap = abs(h12 - h21) / (1.0 + abs(h12))
@@ -326,10 +293,8 @@ def _check_hessian_symmetry(spec, level: int) -> str:
     return f"symmetry defect {gap:.2e}"
 
 
-def _check_z_eta(spec, level: int) -> str:
-    mesh = build_unit_square_mesh(level)
-    u, v1, v2 = _battery_fields(spec, mesh)
-    problem = optimizer._LinearizedProblem(spec, mesh, u)
+def _check_z_eta(spec, problem, v1, v2) -> str:
+    mesh, u = problem.mesh, problem.u
     hz = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form="z",
                                     problem=problem)
     he = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form="eta",
@@ -341,40 +306,41 @@ def _check_z_eta(spec, level: int) -> str:
 
 
 def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
-    mesh = build_unit_square_mesh(min(cfg.level, 6))
+    mesh = build_unit_square_mesh(cfg.level)  # MeshError here exits 2
     results = []
-    admissible = True
+    fixture = None
     try:
-        spec.validate(mesh)
+        spec.validate(build_unit_square_mesh(min(cfg.level, 6)))
         results.append(("admissibility", "PASS", "data admissible"))
     except AdmissibilityError as err:
-        admissible = False
         results.append(("admissibility", "FAIL", str(err)))
+    else:
+        try:
+            fixture = _linearization(spec, mesh)
+        except Exception as err:  # reported by each item that needs it
+            fixture = err
 
-    independent = [
-        ("quadrature-exactness", _check_quadrature),
-        ("stiffness-reference", _check_stiffness_reference),
-        ("projection-orthogonality", lambda: _check_projection(cfg.level)),
-        ("manufactured-constant", lambda: _check_manufactured(cfg.level)),
+    items = [
+        ("quadrature-exactness", _check_quadrature, False),
+        ("stiffness-reference", _check_stiffness_reference, False),
+        ("projection-orthogonality", lambda: _check_projection(cfg.level),
+         False),
+        ("manufactured-constant", lambda: _check_manufactured(mesh), False),
+        ("gradient-fd", lambda: _check_gradient_fd(spec, *fixture), True),
+        ("hessian-symmetry", lambda: _check_hessian_symmetry(spec, *fixture),
+         True),
+        ("z-eta-agreement", lambda: _check_z_eta(spec, *fixture), True),
     ]
-    dependent = [
-        ("gradient-fd", lambda: _check_gradient_fd(spec, cfg.level)),
-        ("hessian-symmetry", lambda: _check_hessian_symmetry(spec, cfg.level)),
-        ("z-eta-agreement", lambda: _check_z_eta(spec, cfg.level)),
-    ]
-    for name, fn in independent:
-        try:
-            results.append((name, "PASS", fn()))
-        except Exception as err:  # report, do not crash the battery
-            results.append((name, "FAIL", str(err)))
-    for name, fn in dependent:
-        if not admissible:
+    for name, fn, needs_admissible_data in items:
+        if needs_admissible_data and fixture is None:
             results.append((name, "SKIP", "requires admissible data"))
-            continue
-        try:
-            results.append((name, "PASS", fn()))
-        except Exception as err:
-            results.append((name, "FAIL", str(err)))
+        elif needs_admissible_data and isinstance(fixture, Exception):
+            results.append((name, "FAIL", str(fixture)))
+        else:
+            try:
+                results.append((name, "PASS", fn()))
+            except Exception as err:  # report, do not crash the battery
+                results.append((name, "FAIL", str(err)))
 
     failed = any(status == "FAIL" for _, status, _ in results)
     for name, status, detail in results:
@@ -403,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"problem preset ({', '.join(presets.PRESET_NAMES)})")
         p.add_argument("--config", default=None,
                        help="key=value configuration file")
-        p.add_argument("--nu", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--nu", default=None)
+        p.add_argument("--alpha", default=None)
+        p.add_argument("--beta", default=None)
 
     p_solve = sub.add_parser("solve", help="solve one level")
     common(p_solve)
-    p_solve.add_argument("--level", type=int, default=None)
+    p_solve.add_argument("--level", default=None)
     p_solve.add_argument("--out", default=None, help="output directory")
     p_solve.add_argument("--emit-fields", dest="emit_fields",
-                         action="store_true")
+                         action="store_const", const="true")
 
     p_study = sub.add_parser("study", help="convergence study over levels")
     common(p_study)
@@ -421,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verification battery")
     common(p_check)
-    p_check.add_argument("--level", type=int, default=None)
+    p_check.add_argument("--level", default=None)
     return parser
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fem
 from .errors import AdmissibilityError, NonconvergenceError
-from .fem import P0Field, P1Field, TRIANGLE_RULE
+from .fem import P0Field, P1Field
 from .linalg import SparseSymOperator
 from .mesh import Mesh
 
@@ -150,11 +150,11 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     pts = fem.quadrature_points(mesh)
 
     def residual(values):
-        yq = values[mesh.triangles] @ TRIANGLE_RULE.points.T
+        y = P1Field(mesh, values)
         res = stiffness.matvec(values)
         res += fem.assemble_volume_load(
-            mesh, fem.at_points(spec.nonlinearity, pts, yq))
-        res += fem.p0_weighted_p1_load(mesh, u, P1Field(mesh, values))
+            mesh, fem.at_points(spec.nonlinearity, pts, y.at_quadrature()))
+        res += fem.p0_weighted_p1_load(mesh, u, y)
         res -= load
         return res
 

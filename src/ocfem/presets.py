@@ -1,7 +1,7 @@
 """Built-in problem definitions for the CLI and the test batteries.
 
 Presets are compiled in: configuration files may override scalar data
-(nu, bounds, tolerances) but not the coefficient functions.
+(nu, bounds) but not the coefficient functions.
 """
 from __future__ import annotations
 

@@ -1,15 +1,29 @@
-"""Every function the benchmark tracer wraps must still exist.
+"""The package API the benchmark relies on must still be there.
 
 The tracer skips a missing target silently and its per-layer metrics then
 read 0, so a rename in the package would go unnoticed without this check.
+The workloads call the package with keyword arguments that a later
+simplification must keep accepting.  These tests read ``bench/`` only.
 """
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from ocfem import pde, study
+from ocfem.fem import P0Field
+from ocfem.mesh import build_unit_square_mesh
+from ocfem.presets import get_preset
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
+# Package functions the workloads call, by the name they are called with.
+CALLED = {"study.run_study": study.run_study,
+          "pde.solve_state": pde.solve_state}
 
 
 def _targets():
@@ -25,3 +39,36 @@ def test_trace_target_resolves(module_name, attr, span):
     for part in attr.split("."):
         owner = getattr(owner, part, None)
     assert callable(owner), f"{module_name}.{attr} is gone ({span})"
+
+
+def _workload_calls():
+    """(called name, positional count, keyword names) of each call."""
+    calls = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                isinstance(node.func.value, ast.Name):
+            name = f"{node.func.value.id}.{node.func.attr}"
+            if name in CALLED:
+                calls.append((name, len(node.args),
+                              sorted(k.arg for k in node.keywords)))
+    return calls
+
+
+def test_workloads_call_both_functions():
+    assert {name for name, _, _ in _workload_calls()} == set(CALLED)
+
+
+@pytest.mark.parametrize("name, positional, keywords", _workload_calls())
+def test_workload_call_binds(name, positional, keywords):
+    assert keywords, f"{name} is called without keywords"
+    inspect.signature(CALLED[name]).bind(
+        *[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_solve_state_report_has_traced_counts():
+    mesh = build_unit_square_mesh(1)
+    _, report = pde.solve_state(get_preset("paper-sec6"), mesh,
+                                P0Field.zeros(mesh))
+    assert report.iterations > 0
+    assert report.damping_events >= 0

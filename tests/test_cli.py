@@ -235,3 +235,96 @@ def test_study_linear_solver_failure_writes_finished_rows(tmp_path, capsys,
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+
+
+def test_check_oversized_level_exit_2(capsys):
+    assert run_cli(["check", "--level", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: level 16 overflows the vertex index type"]
+
+
+def _record_linearizations(monkeypatch):
+    import ocfem.cli as cli_mod
+    seen = []
+
+    class Recording(cli_mod.optimizer._LinearizedProblem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self)
+
+    monkeypatch.setattr(cli_mod.optimizer, "_LinearizedProblem", Recording)
+    return seen
+
+
+def test_check_builds_one_linearization(capsys, monkeypatch):
+    seen = _record_linearizations(monkeypatch)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "3"]) == 0
+    assert len(seen) == 1
+    assert capsys.readouterr().out.count("PASS") == 8
+
+
+def test_check_inadmissible_builds_no_linearization(capsys, monkeypatch):
+    seen = _record_linearizations(monkeypatch)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "2",
+                    "--alpha", "-3"]) == 1
+    assert seen == []
+    skipped = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("SKIP")]
+    assert skipped == [f"SKIP {name}: requires admissible data" for name in
+                       ("gradient-fd", "hessian-symmetry", "z-eta-agreement")]
+
+
+def test_check_fixture_failure_fails_dependent_items(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+
+    def fails(*args, **kwargs):
+        raise cli_mod.NonconvergenceError("forced failure")
+
+    monkeypatch.setattr(cli_mod.optimizer, "_LinearizedProblem", fails)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == [f"FAIL {name}: forced failure" for name in
+                      ("gradient-fd", "hessian-symmetry", "z-eta-agreement")]
+
+
+# One value per config key, and the subcommand that has the matching flag.
+_CONFIG_KEYS = [
+    ("solve", "preset", "manufactured-constant"),
+    ("solve", "nu", "0.5"),
+    ("solve", "alpha", "-2"),
+    ("solve", "beta", "inf"),
+    ("check", "level", "5"),
+    ("study", "levels", "2..6"),
+    ("study", "out", "table.csv"),
+    ("solve", "emit_fields", "true"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", _CONFIG_KEYS,
+                         ids=[key for _, key, _ in _CONFIG_KEYS])
+def test_config_key_matches_flag(command, key, value, tmp_path):
+    from ocfem.cli import RunConfig, _config_from_args, build_parser
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={value}\n")
+    flag = (["--emit-fields"] if key == "emit_fields"
+            else [f"--{key}", value])
+    parser = build_parser()
+    from_file = _config_from_args(
+        parser.parse_args([command, "--config", str(cfg_file)]))
+    from_flag = _config_from_args(parser.parse_args([command] + flag))
+    assert from_file == from_flag
+    assert from_file != RunConfig()
+
+
+@pytest.mark.parametrize("line", ["tol_kkt=1e-9", "tol_newton=1e-11",
+                                  "tol_linear=1e-12"])
+def test_config_tolerance_keys_exit_2(line, tmp_path, capsys):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(["solve", "--config", str(cfg), "--level", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    key = line.partition("=")[0]
+    assert err == [f"error: unknown config key {key!r}"]
