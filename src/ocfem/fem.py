@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshError, OcfemError
-from .linalg import SparseSymOperator
+from .linalg import FactorSlot, SparseSymOperator
 from .mesh import Mesh, ProlongationMap, barycentric_coordinates, locate
 
 
@@ -215,6 +215,11 @@ def assemble_weighted_mass(mesh: Mesh, weight=None) -> SparseSymOperator:
     constants), a pointwise evaluator, or precomputed quadrature values of
     shape (nt, nq).
     """
+    return _operator_from_local(mesh, _weighted_mass_local(mesh, weight))
+
+
+def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
+    """Local (nt, 3, 3) mass matrices of ``int w y z``."""
     nt = mesh.num_triangles
     if weight is None or np.isscalar(weight) or isinstance(weight, P0Field):
         w = (np.ones(nt) if weight is None else
@@ -228,7 +233,7 @@ def assemble_weighted_mass(mesh: Mesh, weight=None) -> SparseSymOperator:
         lam = TRIANGLE_RULE.points
         local = np.einsum("tq,qi,qj->tij", wq, lam, lam)
         local *= mesh.areas[:, None, None]
-    return _operator_from_local(mesh, local)
+    return local
 
 
 def _pattern(mesh: Mesh):
@@ -248,29 +253,36 @@ def _pattern(mesh: Mesh):
     return _per_mesh(mesh, "pattern", build)
 
 
-def _operator_on_pattern(mesh: Mesh, data: np.ndarray) -> SparseSymOperator:
+def _operator_on_pattern(mesh: Mesh, data: np.ndarray,
+                         slot: FactorSlot = None) -> SparseSymOperator:
     indptr, indices, _ = _pattern(mesh)
     nv = mesh.num_vertices
     return SparseSymOperator(
-        sp.csr_matrix((data, indices, indptr), shape=(nv, nv)))
+        sp.csr_matrix((data, indices, indptr), shape=(nv, nv)), slot=slot)
+
+
+def _pattern_data(mesh: Mesh, local: np.ndarray) -> np.ndarray:
+    """Local (nt, 3, 3) matrices summed into the data of the mesh's pattern."""
+    _, indices, position = _pattern(mesh)
+    return np.bincount(position, local.ravel(), minlength=len(indices))
 
 
 def _operator_from_local(mesh: Mesh, local: np.ndarray) -> SparseSymOperator:
-    _, indices, slot = _pattern(mesh)
-    return _operator_on_pattern(
-        mesh, np.bincount(slot, local.ravel(), minlength=len(indices)))
+    return _operator_on_pattern(mesh, _pattern_data(mesh, local))
 
 
-def add_assembled(mesh: Mesh, a: SparseSymOperator,
-                  b: SparseSymOperator) -> SparseSymOperator:
-    """``a + b`` for operators assembled on ``mesh``: their data add entry
-    by entry on the mesh's one sparsity pattern."""
+def add_weighted_mass(mesh: Mesh, a: SparseSymOperator, weight,
+                      slot: FactorSlot = None) -> SparseSymOperator:
+    """``a`` plus the mass operator of ``weight`` (as in
+    ``assemble_weighted_mass``) for ``a`` assembled on ``mesh``: the mass
+    data add to ``a``'s entry by entry on the mesh's one sparsity pattern,
+    and one operator, sharing ``slot``, is built."""
     indptr, indices, _ = _pattern(mesh)
-    for op in (a, b):
-        if not (np.array_equal(op.matrix.indptr, indptr)
-                and np.array_equal(op.matrix.indices, indices)):
-            raise MeshError("operator was not assembled on this mesh")
-    return _operator_on_pattern(mesh, a.matrix.data + b.matrix.data)
+    if not (np.array_equal(a.matrix.indptr, indptr)
+            and np.array_equal(a.matrix.indices, indices)):
+        raise MeshError("operator was not assembled on this mesh")
+    mass = _pattern_data(mesh, _weighted_mass_local(mesh, weight))
+    return _operator_on_pattern(mesh, a.matrix.data + mass, slot)
 
 
 def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:

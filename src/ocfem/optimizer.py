@@ -6,7 +6,8 @@ elements are classified by the current multiplier, active values are fixed
 at their bound, and the reduced Newton system on the inactive elements is
 solved by conjugate gradients in the elementwise L2 inner product with
 matrix-free Hessian products (one linearized solve plus one second-order
-solve per product, reusing the factorized state operator).
+solve per product, reusing the state operator).  All operators of one
+``solve_ocp`` call share one factor slot (see ``ocfem.linalg``).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import fem, pde
 from .errors import NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field
+from .linalg import FactorSlot
 from .mesh import Mesh
 
 
@@ -52,21 +54,24 @@ class OcpSolution:
 
 
 class _LinearizedProblem:
-    """State, adjoint and the shared factorized operator at a control."""
+    """State, adjoint and the shared operator at a control.  The state's
+    Newton tangents and the operator share ``slot`` (a new one if None)."""
 
     def __init__(self, spec, mesh, u, state_init=None, *, stiffness=None,
-                 newton_tol=1e-11, linear_tol=1e-12):
+                 newton_tol=1e-11, linear_tol=1e-12, slot=None):
         self.spec = spec
         self.mesh = mesh
         self.u = u
         if stiffness is None:
             stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
         self.stiffness = stiffness
+        if slot is None:
+            slot = FactorSlot()
         self.state, self.report = pde.solve_state(
             spec, mesh, u, init=state_init, tol=newton_tol,
-            linear_tol=linear_tol, stiffness=stiffness)
+            linear_tol=linear_tol, stiffness=stiffness, slot=slot)
         self.operator = pde.linearized_operator(spec, mesh, u, self.state,
-                                                stiffness=stiffness)
+                                                stiffness=stiffness, slot=slot)
         self.adjoint = pde.solve_adjoint(spec, mesh, u, self.state,
                                          operator=self.operator,
                                          linear_tol=linear_tol)
@@ -228,6 +233,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     bounds = Bounds(spec.alpha, spec.beta)
     areas = mesh.areas
     stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
+    slot = FactorSlot()
     u_values = (bounds.clamp(np.zeros(mesh.num_triangles)) if init is None
                 else bounds.clamp(init.values))
     y_guess = state_init
@@ -236,10 +242,13 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     stall = 0
 
     for it in range(1, max_outer + 1):
+        # Release the previous problem, and its operator, before the next
+        # one is built.
+        problem = None
         problem = _LinearizedProblem(spec, mesh, P0Field(mesh, u_values),
                                      state_init=y_guess, stiffness=stiffness,
                                      newton_tol=newton_tol,
-                                     linear_tol=linear_tol)
+                                     linear_tol=linear_tol, slot=slot)
         y_guess = problem.state
         q = problem.product_mean / spec.nu
         projected = bounds.clamp(q)

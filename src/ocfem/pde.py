@@ -2,8 +2,12 @@
 
 All four solves share one bilinear form: the diffusion form plus a reaction
 term whose weight is ``da/dy(x, y_h) + u``.  The operator is assembled once
-per state and its factorization is reused by the adjoint, linearized-state
-and second-order solves.
+per state and reused by the adjoint, linearized-state and second-order
+solves.  Consecutive operators differ only in that weight, so the operators
+of one chain (the Newton steps of a state solve, or every operator of an
+outer optimization) share a ``FactorSlot``: an operator first refines with
+the chain's latest factor and is factored only when that solution is not
+accepted (see ``ocfem.linalg``).
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import numpy as np
 from . import fem
 from .errors import AdmissibilityError, NonconvergenceError
 from .fem import P0Field, P1Field
-from .linalg import SparseSymOperator
+from .linalg import FactorSlot, SparseSymOperator
 from .mesh import Mesh
 
 
@@ -120,31 +124,36 @@ def second_order_weight(spec: ProblemSpec, mesh: Mesh, y: P1Field,
 
 def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                         y: P1Field,
-                        stiffness: SparseSymOperator = None) -> SparseSymOperator:
-    """Operator of the linearized form: diffusion + reaction da/dy + u."""
+                        stiffness: SparseSymOperator = None,
+                        slot: FactorSlot = None) -> SparseSymOperator:
+    """Operator of the linearized form: diffusion + reaction da/dy + u,
+    sharing the factor slot ``slot``."""
     if stiffness is None:
         stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     da = fem.at_points(spec.nonlinearity_dy, fem.quadrature_points(mesh),
                        y.at_quadrature())
-    mass = fem.assemble_weighted_mass(mesh, da + u.values[:, None])
-    return fem.add_assembled(mesh, stiffness, mass)
+    return fem.add_weighted_mass(mesh, stiffness, da + u.values[:, None],
+                                 slot=slot)
 
 
 def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 init: P1Field = None, *, tol: float = 1e-11,
                 max_iterations: int = 50, linear_tol: float = 1e-12,
                 stiffness: SparseSymOperator = None,
-                check_admissible: bool = True):
+                check_admissible: bool = True, slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
     Returns ``(P1Field, SolveReport)``.  The residual is driven below
     ``tol * (1 + ||boundary load||)``; the Newton direction uses the exact
-    tangent (stiffness plus reaction mass with weight da/dy + u).
+    tangent (stiffness plus reaction mass with weight da/dy + u).  The
+    tangents share ``slot``, or a slot of this call's own if it is None.
     """
     if check_admissible:
         spec.check_control(mesh, u)
     if stiffness is None:
         stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
+    if slot is None:
+        slot = FactorSlot()
     load = fem.assemble_boundary_load(mesh, spec.boundary_flux)
     scale = 1.0 + float(np.linalg.norm(load))
     pts = fem.quadrature_points(mesh)
@@ -169,7 +178,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 f"state Newton did not converge in {max_iterations} "
                 f"iterations (residual {norm_f:.3e})", report=report)
         operator = linearized_operator(spec, mesh, u, P1Field(mesh, y),
-                                       stiffness=stiffness)
+                                       stiffness=stiffness, slot=slot)
         delta = operator.solve_spd(-f, tol=linear_tol)
         step = 1.0
         for _ in range(30):

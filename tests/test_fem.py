@@ -19,6 +19,7 @@ from ocfem import (Mesh, MeshError, OcfemError, P0Field, P1Field,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross, l2_norm_p1,
                    l2_project_p0, linf_diff_p1, refine)
 from ocfem import fem, get_preset, pde
+from ocfem.linalg import SparseSymOperator
 
 
 def reference_triangle():
@@ -396,3 +397,35 @@ def test_quadrature_points_are_read_only():
     pts = fem.quadrature_points(mesh)
     with pytest.raises(ValueError):
         pts[0, 0, 0] = 1.0
+
+
+def test_linearized_operator_builds_one_operator(monkeypatch):
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    rng = np.random.default_rng(3)
+    u = P0Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    y = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
+    K = assemble_stiffness(mesh)
+    weight = (fem.at_points(spec.nonlinearity_dy, fem.quadrature_points(mesh),
+                            y.at_quadrature()) + u.values[:, None])
+    expected = K.matrix.data + assemble_weighted_mass(mesh, weight).matrix.data
+    built = []
+    real = SparseSymOperator.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseSymOperator, "__init__", recording)
+    op = pde.linearized_operator(spec, mesh, u, y, stiffness=K)
+    assert built == [op]
+    assert np.array_equal(op.matrix.data, expected)
+
+
+def test_linearized_operator_rejects_stiffness_of_another_mesh():
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    other = assemble_stiffness(build_unit_square_mesh(2))
+    with pytest.raises(MeshError):
+        pde.linearized_operator(spec, mesh, P0Field.zeros(mesh),
+                                P1Field.zeros(mesh), stiffness=other)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
                    build_unit_square_mesh, assemble_volume_load,
                    assemble_weighted_mass, assemble_stiffness, refine)
+from ocfem.linalg import FactorSlot
 
 
 def random_spd(n, seed):
@@ -173,3 +174,63 @@ def test_symmetric_factor_solution_is_numbering_independent():
         solutions.append(x[np.lexsort((grid[:, 0], grid[:, 1]))])
     direct, refined = solutions
     assert np.linalg.norm(refined - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def chain_with_factor(seed):
+    """A slot holding the factor of a random SPD A, after one solve of A."""
+    slot = FactorSlot()
+    op, dense = random_spd(50, seed=seed)
+    op.slot = slot
+    op.solve_spd(np.ones(50))
+    assert slot.factor is op._factorization is not None
+    return slot, op, dense
+
+
+def test_nearby_operator_solves_with_slot_factor(monkeypatch):
+    slot, op, dense = chain_with_factor(5)
+    shared = slot.factor
+    shifted = dense + 1e-3 * np.eye(50)
+    near = SparseSymOperator(sp.csr_matrix(shifted), slot=slot)
+    monkeypatch.setattr(SparseSymOperator, "_factor",
+                        lambda self: pytest.fail("nearby operator factored"))
+    b = np.random.default_rng(6).standard_normal(50)
+    x = near.solve_spd(b, tol=1e-12)
+    assert near._factorization is None
+    assert slot.factor is shared
+    assert np.linalg.norm(near.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert x == pytest.approx(np.linalg.solve(shifted, b), rel=1e-9,
+                              abs=1e-11)
+
+
+def test_far_operator_falls_back_to_own_factor():
+    # The factor of A contracts the residual of A / 3 by only 2/3 per step,
+    # so the first step shows that the budget cannot reach tol.
+    slot, op, dense = chain_with_factor(5)
+    shared = slot.factor
+    solves = []
+
+    class Counting:
+        def solve(self, b):
+            solves.append(b)
+            return shared.solve(b)
+
+    slot.factor = Counting()
+    far = SparseSymOperator(sp.csr_matrix(dense / 3.0), slot=slot)
+    b = np.random.default_rng(6).standard_normal(50)
+    x = far.solve_spd(b, tol=1e-12)
+    assert len(solves) == 2
+    assert far._factorization is not None
+    assert slot.factor is far._factorization
+    assert np.linalg.norm(far.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert x == pytest.approx(np.linalg.solve(dense / 3.0, b), rel=1e-9,
+                              abs=1e-11)
+
+
+def test_nonpositive_diagonal_raises_with_shared_factor():
+    slot, op, dense = chain_with_factor(5)
+    bad = dense.copy()
+    bad[7, 7] = 0.0
+    with pytest.raises(CoercivityError):
+        SparseSymOperator(sp.csr_matrix(bad), slot=slot).solve_spd(
+            np.ones(50))
+    assert slot.factor is op._factorization

@@ -4,6 +4,8 @@ Independent oracles: central finite differences of the cost, a 12-point
 degree-6 quadrature re-evaluation, and direct enumeration of the discrete
 variational inequality on tiny meshes.
 """
+import weakref
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,23 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
     damped = 0.5 * seen[4].u.values + 0.5 * projected[4]
     assert np.array_equal(seen[5].u.values, damped)
     assert kkt[5] < kkt[4]
+
+
+def test_solve_ocp_releases_previous_problem_before_next(monkeypatch):
+    # Iteration k's problem (and its operator's factor) must be gone when
+    # iteration k + 1 starts to build its own.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    built, alive_at_start = [], []
+
+    class Recording(optimizer._LinearizedProblem):
+        def __init__(self, *args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in built])
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(optimizer, "_LinearizedProblem", Recording)
+    sol = optimizer.solve_ocp(spec, mesh)
+    assert sol.converged
+    assert len(built) >= 3
+    assert not any(any(alive) for alive in alive_at_start)

@@ -277,3 +277,52 @@ def test_level8_newton_step_accepted_at_precision_floor():
         pde.solve_state(spec, mesh, P0Field(mesh, values), max_iterations=1)
     except NonconvergenceError:
         pass
+
+
+class _CountingFactor:
+    """Factor wrapper that records each right-hand side and solution."""
+
+    def __init__(self, factor):
+        self.factor, self.solutions = factor, []
+
+    def solve(self, b):
+        x = self.factor.solve(b)
+        self.solutions.append(x)
+        return x
+
+
+def test_level8_refinement_returns_at_first_floor_step():
+    # The pinned control of the precision-floor test above: the first Newton
+    # step's solve must return at the first refinement step whose
+    # componentwise backward error meets the floor, not chase the 1e-12
+    # normwise tolerance further.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(8)
+    centers = barycenters(mesh)
+    k = np.arange(4)
+    coef = (np.random.default_rng(40).standard_normal((4, 4))
+            * 0.2 / (1.0 + k[:, None] + k[None, :]))
+    values = np.einsum("mk,kl,ml->m", np.cos(np.pi * centers[:, :1] * k),
+                       coef, np.cos(np.pi * centers[:, 1:] * k))
+    y = P1Field.zeros(mesh)
+    op = pde.linearized_operator(spec, mesh, P0Field(mesh, values), y)
+    b = (fem.assemble_boundary_load(mesh, spec.boundary_flux)
+         - fem.assemble_volume_load(mesh, fem.at_points(
+             spec.nonlinearity, fem.quadrature_points(mesh),
+             y.at_quadrature())))
+    counting = _CountingFactor(op._factor())
+    op._factorization = counting
+    x = op.solve_spd(b, tol=1e-12)
+
+    matrix = op.matrix
+    floor = (np.diff(matrix.indptr).max() + 1) * np.finfo(float).eps / 2
+    iterates = np.cumsum(counting.solutions, axis=0)
+    met = []
+    for iterate in iterates:
+        r = b - matrix @ iterate
+        omega = np.max(np.abs(r) / (abs(matrix) @ np.abs(iterate)
+                                    + np.abs(b)))
+        met.append(np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+                   or omega <= floor)
+    assert met[-1] and not any(met[:-1])
+    assert np.array_equal(x, iterates[-1])

@@ -8,6 +8,7 @@ from ocfem import (Bounds, CoercivityError, NonconvergenceError, OcfemError,
                    PostprocessedControl, postprocess_error_cross, refine,
                    run_study)
 from ocfem import optimizer, study
+from ocfem.linalg import SparseSymOperator
 
 
 def test_eoc_values():
@@ -225,3 +226,21 @@ def test_run_study_attaches_partial_results_to_linear_solve_failure(
         run_study(spec, 1, 4)
     assert [r.level for r in err.value.report] == [1]
     assert "level 3" in str(err.value)
+
+
+def test_run_study_shares_factors_along_each_chain(monkeypatch):
+    # Factoring every operator took 31 factorizations on levels 3..5; the
+    # operators of one solve_ocp call share their factor where refinement
+    # with it is accepted.
+    factored = []
+    real = SparseSymOperator._factor
+
+    def recording(self):
+        if self._factorization is None:
+            factored.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(SparseSymOperator, "_factor", recording)
+    records = run_study(get_preset("paper-sec6"), 3, 5)
+    assert all(r.kkt_residual <= 1e-9 for r in records)
+    assert 0 < len(factored) <= 31 // 2
