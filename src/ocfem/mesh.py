@@ -7,15 +7,15 @@ Conventions
   (lower-left to upper-right) so that dyadic refinement is nested.
 * Vertices of the structured mesh are numbered lexicographically by
   (row, column), row being the x2-index.
-* ``refine`` emits the four children of parent triangle ``t`` at indices
-  ``4*t .. 4*t+3``; point location relies on this layout.
+* ``refine`` keeps parent vertex ``v`` at index ``v`` and emits the four
+  children of parent triangle ``t`` at indices ``4*t .. 4*t+3``, child 3
+  being the middle one, with its parent's barycenter.  Point location and
+  the study's sampling of the finest level by index rely on this layout.
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
 """
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -168,6 +168,16 @@ class ProlongationMap:
         return values[self.element_map]
 
 
+def check_level(level: int) -> None:
+    """Refuse a unit-square level whose ``(2**level+1)**2`` vertices the
+    index type cannot number (``MeshSizeError``), or a negative one."""
+    if level < 0:
+        raise MeshError("level must be >= 0")
+    index = np.iinfo(_INDEX_DTYPE)
+    if level >= index.bits or ((1 << level) + 1) ** 2 > index.max:
+        raise MeshSizeError(f"level {level} overflows the vertex index type")
+
+
 def build_unit_square_mesh(level: int) -> Mesh:
     """Structured right-triangle mesh of (0,1)^2 at a dyadic level.
 
@@ -175,12 +185,8 @@ def build_unit_square_mesh(level: int) -> Mesh:
     upper-right diagonal, giving ``(2**level+1)**2`` vertices,
     ``2*4**level`` triangles and ``h = 2**-level * sqrt(2)``.
     """
-    if level < 0:
-        raise MeshError("level must be >= 0")
+    check_level(level)
     n = 1 << level
-    if (n + 1) ** 2 > np.iinfo(_INDEX_DTYPE).max:
-        raise MeshSizeError(f"level {level} overflows the vertex index type")
-
     coords = np.arange(n + 1, dtype=float) / n
     xx, yy = np.meshgrid(coords, coords)            # row-major: row = x2-index
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -216,19 +222,29 @@ def build_unit_square_mesh(level: int) -> Mesh:
 def refine(mesh: Mesh):
     """Red refinement: split every triangle into 4 congruent children.
 
+    Parent vertex ``v`` keeps index ``v``; the midpoints of the parent's
+    edges follow in sorted edge order.  Parent triangle ``t`` ``[a, b, c]``
+    has the children ``[a, m01, m20]``, ``[m01, b, m12]``,
+    ``[m20, m12, c]`` and the middle ``[m01, m12, m20]`` at ``4t..4t+3``;
+    the middle child has its parent's barycenter.  The study's samples of
+    the finest level on coarser ones rely on both facts.
+
     Returns
     -------
     (Mesh, ProlongationMap)
-        The refined mesh (children of parent ``t`` at ``4t..4t+3``) and the
-        exact prolongation data.
+        The refined mesh and the exact prolongation data.
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    if 4 * nt > sys.maxsize or nv + 3 * nt > np.iinfo(_INDEX_DTYPE).max:
+    index_max = np.iinfo(_INDEX_DTYPE).max
+    if 4 * nt - 1 > index_max or nv + 3 * nt > index_max:
         raise MeshSizeError("refined mesh overflows the vertex index type")
     tri = mesh.triangles
     raw = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    edges = np.sort(raw, axis=1)
-    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+    # One int64 key u*nv + v per edge (u < v < nv < 2**31): sorting the keys
+    # is sorting the edges row by row.
+    keys = _edge_keys(raw, nv)
+    uniq_keys, inverse = np.unique(keys, return_inverse=True)
+    uniq = np.column_stack(np.divmod(uniq_keys, nv))
     mid = nv + inverse.reshape(3, nt)               # mid[0]=m01, mid[1]=m12, mid[2]=m20
 
     vertices = np.concatenate([
@@ -244,20 +260,17 @@ def refine(mesh: Mesh):
     children[3::4] = np.column_stack([m01, m12, m20])
     element_map = np.repeat(np.arange(nt, dtype=_INDEX_DTYPE), 4)
 
-    edge_to_mid = {}
-    for k, (u, v) in enumerate(uniq):
-        edge_to_mid[(int(u), int(v))] = nv + k
-
-    bedges = []
-    for v0, v1, t, marker in mesh.boundary_edges:
-        v0, v1, t, marker = int(v0), int(v1), int(t), int(marker)
-        m = edge_to_mid[(min(v0, v1), max(v0, v1))]
-        corners = [int(a[t]), int(b[t]), int(c[t])]
-        child_at = {corners[0]: 4 * t, corners[1]: 4 * t + 1,
-                    corners[2]: 4 * t + 2}
-        bedges.append((v0, m, child_at[v0], marker))
-        bedges.append((m, v1, child_at[v1], marker))
-    boundary_edges = np.array(bedges, dtype=_INDEX_DTYPE).reshape(-1, 4)
+    # Each boundary edge (v0, v1) of triangle t splits at its midpoint m
+    # into (v0, m) and (m, v1), owned by the corner children of v0 and v1.
+    v0, v1, owner, marker = mesh.boundary_edges.T
+    m = nv + np.searchsorted(uniq_keys, _edge_keys(
+        mesh.boundary_edges[:, :2], nv))
+    corners = tri[owner]
+    child0 = 4 * owner + np.argmax(corners == v0[:, None], axis=1)
+    child1 = 4 * owner + np.argmax(corners == v1[:, None], axis=1)
+    boundary_edges = np.empty((2 * len(v0), 4), dtype=_INDEX_DTYPE)
+    boundary_edges[0::2] = np.column_stack([v0, m, child0, marker])
+    boundary_edges[1::2] = np.column_stack([m, v1, child1, marker])
 
     node_parents = np.concatenate([
         np.column_stack([np.arange(nv), np.arange(nv)]),
@@ -273,6 +286,12 @@ def refine(mesh: Mesh):
     pmap = ProlongationMap(mesh, child, node_parents, node_weights,
                            element_map)
     return child, pmap
+
+
+def _edge_keys(edges, nv: int) -> np.ndarray:
+    """Key ``min*nv + max`` of each undirected edge row, as int64."""
+    edges = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
+    return edges[:, 0] * nv + edges[:, 1]
 
 
 def barycenters(mesh: Mesh) -> np.ndarray:

@@ -5,6 +5,12 @@ mesh family (with coarse-to-fine continuation), measures consecutive-level
 L2 differences through exact nested prolongation, and records experimental
 orders of convergence together with the free-boundary diagnostics
 (mixed-element classification and the barycenter-sampled comparison field).
+
+Tabulation locates no point: the coarse post-processed control reaches the
+fine quadrature points through exact P1 prolongation, and the finest one is
+sampled at a coarse level's vertices and barycenters by index.  Both rely on
+the layout ``mesh.refine`` fixes: a parent vertex keeps its index, and child
+3 of every triangle is the middle child, with its parent's barycenter.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field, TRIANGLE_RULE
 from .mesh import (Mesh, ProlongationMap, barycenters,
-                   build_unit_square_mesh, locate, refine)
+                   build_unit_square_mesh, check_level, locate, refine)
 from .optimizer import Bounds, OcpSolution
 
 
@@ -59,13 +65,40 @@ class PostprocessedControl:
         self.bounds = bounds
         self.nu = float(nu)
 
-    def eval_in_triangles(self, tri_idx, points) -> np.ndarray:
-        raw = (self.state.eval_in_triangles(tri_idx, points) *
-               self.adjoint.eval_in_triangles(tri_idx, points)) / self.nu
-        return self.bounds.clamp(raw)
+    def _from_values(self, y, phi) -> np.ndarray:
+        """``clamp(y phi / nu)`` of state and adjoint values."""
+        return self.bounds.clamp(y * phi / self.nu)
 
     def __call__(self, points) -> np.ndarray:
-        return self.eval_in_triangles(locate(self.mesh, points), points)
+        tri = locate(self.mesh, points)
+        return self._from_values(self.state.eval_in_triangles(tri, points),
+                                 self.adjoint.eval_in_triangles(tri, points))
+
+    def samples_on(self, mesh: Mesh) -> np.ndarray:
+        """Values at the three vertices and the barycenter of every
+        triangle of ``mesh``, an ancestor of this control's mesh: (nt, 4).
+
+        Exact index maps of the nested hierarchy, no point location:
+        ``refine`` keeps a vertex's index, and coarse triangle ``t`` has the
+        barycenter of its middle descendant ``4**k * t + 4**k - 1`` k levels
+        down, where a P1 value is the mean of the three nodal values.
+        """
+        k, node = 0, self.mesh
+        while node is not mesh:
+            if node.parent is None:
+                raise OcfemError("samples need an ancestor of the "
+                                 "control's mesh")
+            k, node = k + 1, node.parent
+        y, phi = self.state.values, self.adjoint.values
+        stride = 4 ** k
+        middle = self.mesh.triangles[
+            stride * np.arange(mesh.num_triangles, dtype=np.int64)
+            + stride - 1]
+        at_vertices = self._from_values(y[mesh.triangles],
+                                        phi[mesh.triangles])
+        at_centers = self._from_values(y[middle].mean(axis=1),
+                                       phi[middle].mean(axis=1))
+        return np.column_stack([at_vertices, at_centers])
 
 
 def postprocess_error_cross(pmap: ProlongationMap,
@@ -81,11 +114,13 @@ def postprocess_error_cross(pmap: ProlongationMap,
     if coarse.mesh is not pmap.parent or fine.mesh is not pmap.child:
         raise OcfemError("post-processed fields do not match the map")
     mesh = fine.mesh
-    fine_vals = fine.bounds.clamp(
-        fine.state.at_quadrature() * fine.adjoint.at_quadrature() / fine.nu)
-    pts = fem.quadrature_points(mesh)                # (nt, nq, 2)
-    parents = pmap.element_map[:, None] * np.ones(pts.shape[1], dtype=int)
-    coarse_vals = coarse.eval_in_triangles(parents, pts)
+    fine_vals = fine._from_values(fine.state.at_quadrature(),
+                                  fine.adjoint.at_quadrature())
+    # Nested P1 prolongation is exact, so these are the coarse fields at
+    # the fine quadrature points.
+    coarse_vals = coarse._from_values(
+        fem.prolong_p1(pmap, coarse.state).at_quadrature(),
+        fem.prolong_p1(pmap, coarse.adjoint).at_quadrature())
     d2 = (fine_vals - coarse_vals) ** 2
     return float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
 
@@ -121,7 +156,9 @@ def classify_elements(mesh: Mesh, control, bounds: Bounds,
     """Split elements into mixed (active and inactive samples) and pure.
 
     Samples each element at its vertices and barycenter.  ``control`` is a
-    pointwise evaluator or a P0Field (which always classifies as pure).
+    pointwise evaluator, a P0Field (which always classifies as pure) or a
+    PostprocessedControl on ``mesh`` or a refinement of it, sampled by
+    index (``PostprocessedControl.samples_on``).
     """
     if tol_active is None:
         if math.isfinite(bounds.beta):
@@ -131,7 +168,10 @@ def classify_elements(mesh: Mesh, control, bounds: Bounds,
     verts = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
     centers = barycenters(mesh)[:, None, :]
     points = np.concatenate([verts, centers], axis=1)  # (nt, 4, 2)
-    vals = _control_samples(mesh, control, points)
+    if isinstance(control, PostprocessedControl):
+        vals = control.samples_on(mesh)
+    else:
+        vals = _control_samples(mesh, control, points)
 
     active = (np.abs(vals - bounds.alpha) <= tol_active) | \
         (np.abs(vals - bounds.beta) <= tol_active)
@@ -166,12 +206,14 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
     """Solve the control problem on levels ``j_min..j_max`` and tabulate.
 
     Consecutive-level differences are measured by exact prolongation; rows
-    are produced for ``j_min..j_max-1``.  Nonconvergence or a failed linear
-    solve at any level aborts with the rows computed so far attached to the
-    error as ``report``.
+    are produced for ``j_min..j_max-1``.  A ``j_max`` too fine for the
+    vertex index type raises ``MeshSizeError`` before any mesh is built.
+    Nonconvergence or a failed linear solve at any level aborts with the
+    rows computed so far attached to the error as ``report``.
     """
     if not (0 <= j_min < j_max):
         raise OcfemError("levels must satisfy 0 <= j_min < j_max")
+    check_level(j_max)
     meshes = [build_unit_square_mesh(j_min)]
     maps: List[ProlongationMap] = []
     for _ in range(j_min, j_max):

@@ -245,6 +245,22 @@ def test_check_oversized_level_exit_2(capsys):
         "error: level 16 overflows the vertex index type"]
 
 
+def test_study_oversized_range_exit_2_before_any_mesh(capsys, monkeypatch):
+    import ocfem.study as study_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh of the range was built")
+
+    monkeypatch.setattr(study_mod, "refine", forbidden)
+    monkeypatch.setattr(study_mod, "build_unit_square_mesh", forbidden)
+    assert run_cli(["study", "--preset", "paper-sec6",
+                    "--levels", "3..16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: level 16 overflows the vertex index type"]
+
+
 def _record_linearizations(monkeypatch):
     import ocfem.cli as cli_mod
     seen = []

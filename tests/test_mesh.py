@@ -1,5 +1,6 @@
 """Mesh construction, refinement, prolongation and geometry queries."""
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ocfem import (Mesh, MeshError, MeshSizeError, P0Field, P1Field,
                    barycenters, barycentric_coordinates,
                    build_unit_square_mesh, locate, prolong_p0, prolong_p1,
                    refine)
+from ocfem.mesh import check_level
 
 
 def canonical_triangles(mesh):
@@ -151,6 +153,89 @@ def test_area_weighted_barycenters_give_centroid():
 def test_size_error():
     with pytest.raises(MeshSizeError):
         build_unit_square_mesh(40)
+
+
+def test_check_level_matches_the_builder():
+    check_level(15)                     # 32769**2 vertices still fit
+    for level in (16, 40, 10 ** 9):
+        with pytest.raises(MeshSizeError, match=f"level {level} "):
+            check_level(level)
+    with pytest.raises(MeshError):
+        check_level(-1)
+
+
+def test_refine_refuses_child_triangle_indices_beyond_int32():
+    # Checked from the counts alone, before any array is touched.
+    stand_in = SimpleNamespace(num_vertices=4, num_triangles=2 ** 29 + 1)
+    with pytest.raises(MeshSizeError):
+        refine(stand_in)
+
+
+def _refined_chain(levels):
+    mesh = build_unit_square_mesh(0)
+    for _ in range(levels):
+        child, pmap = refine(mesh)
+        yield mesh, child, pmap
+        mesh = child
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_refine_keeps_parent_vertex_indices(level):
+    mesh = build_unit_square_mesh(level)
+    child, _ = refine(mesh)
+    assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
+
+
+def test_middle_child_has_parent_barycenter():
+    # Dyadic coordinates: the vertex sums are exact, so the barycenters are
+    # equal bit for bit.
+    for mesh, child, _ in _refined_chain(7):
+        assert np.array_equal(barycenters(child)[3::4], barycenters(mesh))
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_refined_boundary_edges_split_at_midpoints(level):
+    mesh = build_unit_square_mesh(level)
+    child, _ = refine(mesh)
+    child.validate()
+    first, second = child.boundary_edges[0::2], child.boundary_edges[1::2]
+    v0, v1, owner, marker = mesh.boundary_edges.T
+    assert np.array_equal(first[:, 0], v0)
+    assert np.array_equal(second[:, 1], v1)
+    assert np.array_equal(first[:, 1], second[:, 0])
+    assert np.array_equal(
+        child.vertices[first[:, 1]],
+        0.5 * (mesh.vertices[v0] + mesh.vertices[v1]))
+    for half in (first, second):
+        assert np.array_equal(half[:, 2] // 4, owner)
+        assert np.all(half[:, 2] % 4 < 3)           # a corner child
+        assert np.array_equal(half[:, 3], marker)
+
+
+def _reference_refinement(mesh):
+    """Midpoint table and split boundary edges as built by row-wise
+    ``np.unique`` and a dictionary over every edge."""
+    nv, tri = mesh.num_vertices, mesh.triangles
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                    tri[:, [2, 0]]]), axis=1)
+    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+    edge_to_mid = {(int(u), int(v)): nv + k for k, (u, v) in enumerate(uniq)}
+    bedges = []
+    for v0, v1, t, marker in mesh.boundary_edges.tolist():
+        m = edge_to_mid[(min(v0, v1), max(v0, v1))]
+        child_at = {int(v): 4 * t + i for i, v in enumerate(tri[t])}
+        bedges += [(v0, m, child_at[v0], marker),
+                   (m, v1, child_at[v1], marker)]
+    return uniq, nv + inverse.reshape(3, -1), np.array(bedges)
+
+
+def test_refine_matches_row_wise_edge_dedup():
+    for mesh, child, pmap in _refined_chain(6):
+        uniq, mid, bedges = _reference_refinement(mesh)
+        nv = mesh.num_vertices
+        assert np.array_equal(pmap.node_parents[nv:], uniq)
+        assert np.array_equal(child.triangles[3::4], mid.T)
+        assert np.array_equal(child.boundary_edges, bedges)
 
 
 def test_locate_structured_and_refined():

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from ocfem import (Bounds, CoercivityError, NonconvergenceError, OcfemError,
-                   P0Field, P1Field, barycenters, build_unit_square_mesh,
-                   build_wh, classify_elements, eoc, get_preset,
-                   PostprocessedControl, postprocess_error_cross, refine,
-                   run_study)
-from ocfem import optimizer, study
+from ocfem import (Bounds, CoercivityError, MeshSizeError,
+                   NonconvergenceError, OcfemError, P0Field, P1Field,
+                   barycenters, barycentric_coordinates,
+                   build_unit_square_mesh, build_wh, classify_elements, eoc,
+                   get_preset, PostprocessedControl, postprocess_error_cross,
+                   refine, run_study)
+from ocfem import fem, optimizer, study
 from ocfem.linalg import SparseSymOperator
 
 
@@ -244,3 +245,117 @@ def test_run_study_shares_factors_along_each_chain(monkeypatch):
     records = run_study(get_preset("paper-sec6"), 3, 5)
     assert all(r.kkt_residual <= 1e-9 for r in records)
     assert 0 < len(factored) <= 31 // 2
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    """Meshes of levels 0..8 refined from one root, and their maps."""
+    meshes = [build_unit_square_mesh(0)]
+    maps = []
+    for _ in range(8):
+        child, pmap = refine(meshes[-1])
+        meshes.append(child)
+        maps.append(pmap)
+    return meshes, maps
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_samples_on_match_located_values(hierarchy, level, k):
+    meshes, _ = hierarchy
+    coarse, fine = meshes[level], meshes[level + k]
+    rng = np.random.default_rng(100 * level + k)
+    pp = PostprocessedControl(
+        fine, P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
+        P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
+        Bounds(-0.6, 0.6), 0.8)
+    points = np.concatenate([coarse.vertices[coarse.triangles],
+                             barycenters(coarse)[:, None, :]], axis=1)
+    located = pp(points.reshape(-1, 2)).reshape(-1, 4)
+    samples = pp.samples_on(coarse)
+    assert samples.shape == (coarse.num_triangles, 4)
+    assert np.any(np.abs(located) == 0.6)              # the clamp is hit
+    # A vertex's barycentric coordinates are exact; at a barycenter the
+    # located evaluation carries the round-off of barycentric coordinates,
+    # which grows as eps / h on the fine mesh.
+    assert np.array_equal(samples[:, :3], located[:, :3])
+    bound = 4.0 * np.finfo(float).eps / fine.h
+    assert np.max(np.abs(samples[:, 3] - located[:, 3])) <= \
+        bound * np.max(np.abs(located))
+
+
+def test_samples_on_rejects_a_mesh_that_is_not_an_ancestor(hierarchy):
+    meshes, _ = hierarchy
+    mesh = meshes[3]
+    values = np.zeros(mesh.num_vertices)
+    pp = PostprocessedControl(mesh, P1Field(mesh, values),
+                              P1Field(mesh, values), Bounds(-1.0, 1.0), 1.0)
+    for other in (build_unit_square_mesh(2), build_unit_square_mesh(3),
+                  meshes[4]):
+        with pytest.raises(OcfemError):
+            pp.samples_on(other)
+
+
+@pytest.mark.parametrize("level", [0, 2, 4])
+def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
+                                                                level):
+    meshes, maps = hierarchy
+    coarse, fine, pmap = meshes[level], meshes[level + 1], maps[level]
+    rng = np.random.default_rng(7 + level)
+    bounds, nu = Bounds(-0.5, 0.5), 0.7
+
+    def random_control(mesh):
+        return PostprocessedControl(
+            mesh, P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
+            P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
+            bounds, nu)
+
+    pp_coarse, pp_fine = random_control(coarse), random_control(fine)
+    # Reference: evaluate the coarse fields in the parent triangle of each
+    # fine quadrature point by its barycentric coordinates.
+    pts = fem.quadrature_points(fine)
+    parents = np.broadcast_to(pmap.element_map[:, None], pts.shape[:2])
+    lam = barycentric_coordinates(coarse, parents, pts)
+
+    def coarse_at(field):
+        return np.sum(field.values[coarse.triangles[parents]] * lam, axis=-1)
+
+    coarse_vals = bounds.clamp(coarse_at(pp_coarse.state) *
+                               coarse_at(pp_coarse.adjoint) / nu)
+    fine_vals = bounds.clamp(pp_fine.state.at_quadrature() *
+                             pp_fine.adjoint.at_quadrature() / nu)
+    d2 = (fine_vals - coarse_vals) ** 2
+    expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
+    assert postprocess_error_cross(pmap, pp_coarse, pp_fine) == \
+        pytest.approx(expected, rel=1e-13)
+
+
+def test_run_study_locates_no_point(monkeypatch):
+    import sys
+    from ocfem import mesh as mesh_mod
+    real = mesh_mod.locate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_study located a point")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if (name == "ocfem" or name.startswith("ocfem.")) and \
+                getattr(module, "locate", None) is real:
+            monkeypatch.setattr(module, "locate", forbidden)
+            patched += 1
+    assert patched >= 3                 # ocfem, ocfem.mesh, ocfem.study
+    records = run_study(get_preset("paper-sec6"), 2, 5)
+    assert [r.level for r in records] == [2, 3, 4]
+    assert all(r.measure_t1 > 0.0 for r in records)
+
+
+def test_run_study_refuses_an_oversized_range_before_building_a_mesh(
+        monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(study, "refine", forbidden)
+    monkeypatch.setattr(study, "build_unit_square_mesh", forbidden)
+    with pytest.raises(MeshSizeError, match="level 16"):
+        run_study(get_preset("paper-sec6"), 3, 16)
