@@ -55,6 +55,11 @@ TRIANGLE_RULE = _symmetric_rule([
     (0.109951743655322, 0.816847572980459, 0.091576213509771),
 ])
 
+# lambda_i * lambda_j at the rule's points, (nq, 9) in row-major (i, j)
+# order: the local weighted mass matrices are one matmul against it.
+_LAMBDA_PRODUCTS = (TRIANGLE_RULE.points[:, :, None]
+                    * TRIANGLE_RULE.points[:, None, :]).reshape(-1, 9)
+
 # 3-point Gauss rule on [0,1]: exact for polynomials up to degree 5.
 _S35 = np.sqrt(0.6)
 EDGE_RULE_POINTS = np.array([0.5 * (1.0 - _S35), 0.5, 0.5 * (1.0 + _S35)])
@@ -191,7 +196,10 @@ def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
     """
     g = mesh.grads                                   # (nt, 3, 2)
     if diffusion is None:
-        local = np.einsum("tid,tjd->tij", g, g)
+        # Row by row, so the temporary is (nt, 3), not a second (nt, 3, 3).
+        local = g[:, :, None, 0] * g[:, None, :, 0]
+        for i in range(3):
+            local[:, i] += g[:, i, None, 1] * g[:, :, 1]
     else:
         pts = quadrature_points(mesh).reshape(-1, 2)
         coef = np.asarray(diffusion(pts), dtype=float)
@@ -230,8 +238,7 @@ def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
     else:
         vals = _as_quad_values(mesh, weight)
         wq = vals * TRIANGLE_RULE.weights             # (nt, nq)
-        lam = TRIANGLE_RULE.points
-        local = np.einsum("tq,qi,qj->tij", wq, lam, lam)
+        local = (wq @ _LAMBDA_PRODUCTS).reshape(nt, 3, 3)
         local *= mesh.areas[:, None, None]
     return local
 

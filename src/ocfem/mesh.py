@@ -63,8 +63,9 @@ class Mesh:
             raise MeshError("triangles must have shape (nt, 3)")
         if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 4:
             raise MeshError("boundary_edges must have shape (ne, 4)")
-        if self.triangles.size and self.triangles.max() >= len(self.vertices):
-            raise MeshError("triangle index exceeds vertex count")
+        if self.triangles.size and (self.triangles.min() < 0 or
+                                    self.triangles.max() >= len(self.vertices)):
+            raise MeshError("triangle index outside the vertex range")
 
         p = self.vertices[self.triangles]          # (nt, 3, 2)
         e01 = p[:, 1] - p[:, 0]
@@ -98,23 +99,26 @@ class Mesh:
 
     def validate(self) -> None:
         """Run the full invariant battery; raise MeshError on violation."""
-        sort = np.sort(np.concatenate([self.triangles[:, [0, 1]],
-                                       self.triangles[:, [1, 2]],
-                                       self.triangles[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(sort, axis=0, return_counts=True)
+        nv, tri = self.num_vertices, self.triangles
+        keys, counts = np.unique(_edge_keys(np.concatenate(
+            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), nv),
+            return_counts=True)
         if np.any(counts > 2):
             raise MeshError("non-conforming: an edge is shared by >2 triangles")
-        n_boundary = int(np.sum(counts == 1))
-        if n_boundary != len(self.boundary_edges):
+        if int(np.sum(counts == 1)) != len(self.boundary_edges):
             raise MeshError("boundary edge list does not match topology")
-        bsort = np.sort(self.boundary_edges[:, :2], axis=1)
-        interior = {tuple(e) for e in uniq[counts == 2]}
-        for v0, v1 in bsort:
-            if (v0, v1) in interior:
-                raise MeshError("listed boundary edge is interior")
-        for v0, v1, t, _ in self.boundary_edges:
-            if {v0, v1} - set(self.triangles[t]):
-                raise MeshError("boundary edge not an edge of its owner")
+        ends, owner = self.boundary_edges[:, :2], self.boundary_edges[:, 2]
+        # The key of an out-of-range vertex could alias another edge's key.
+        if np.any((ends < 0) | (ends >= nv)):
+            raise MeshError("boundary edge index outside the vertex range")
+        bkeys = _edge_keys(ends, nv)
+        interior = keys[counts == 2]
+        at = np.minimum(np.searchsorted(interior, bkeys), len(interior) - 1)
+        if len(interior) and np.any(interior[at] == bkeys):
+            raise MeshError("listed boundary edge is interior")
+        corners = tri[owner]
+        if not np.all(np.any(corners[:, :, None] == ends[:, None, :], axis=1)):
+            raise MeshError("boundary edge not an edge of its owner")
 
     def write_text(self, stream) -> None:
         """Dump the mesh in the plain-text exchange format.

@@ -377,6 +377,28 @@ def test_assembly_matches_coo_oracle(level, diffusion):
     assert np.array_equal(K.matrix.indices, M.matrix.indices)
 
 
+@pytest.mark.parametrize("level", range(9))
+def test_laplacian_stiffness_is_bitwise_the_einsum_kernel(level):
+    mesh = build_unit_square_mesh(level)
+    g = mesh.grads
+    local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
+    assert np.array_equal(assemble_stiffness(mesh).matrix.data,
+                          fem._pattern_data(mesh, local))
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_local_mass_matches_oracle_for_weights_of_both_signs(level):
+    # One sign per triangle: a local entry sums positive terms only, so the
+    # oracle's rounding stays relative to the entry.
+    mesh = build_unit_square_mesh(level)
+    rng = np.random.default_rng(20 + level)
+    nq = len(TRIANGLE_RULE.weights)
+    sign = np.resize([1.0, -1.0], (mesh.num_triangles, 1))
+    wq = sign * rng.uniform(0.5, 2.0, (mesh.num_triangles, nq))
+    np.testing.assert_allclose(fem._weighted_mass_local(mesh, wq),
+                               _local_mass(mesh, wq), rtol=1e-14)
+
+
 @pytest.mark.parametrize("level", range(5))
 def test_linearized_operator_is_stiffness_plus_weighted_mass(level):
     spec = get_preset("paper-sec6")

@@ -22,10 +22,13 @@ def canonical_triangles(mesh):
 
 
 def count_edges(mesh):
-    edges = np.sort(np.concatenate([mesh.triangles[:, [0, 1]],
-                                    mesh.triangles[:, [1, 2]],
-                                    mesh.triangles[:, [2, 0]]]), axis=1)
-    return len(np.unique(edges, axis=0))
+    tri = mesh.triangles.astype(np.int64)
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                    tri[:, [2, 0]]]), axis=1)
+    keys = np.sort(edges[:, 0] * mesh.num_vertices + edges[:, 1])
+    # Counted on the sorted keys: a bare np.unique of 6.3M int64 keys takes
+    # numpy 2.4's hash path, about 30 times slower than sorting them.
+    return 1 + np.count_nonzero(np.diff(keys))
 
 
 def test_builder_level3_counts():
@@ -274,6 +277,62 @@ def test_mesh_dump_format():
     coords = np.array([[float(tok) for tok in line.split()]
                        for line in lines[1:1 + nv]])
     assert np.array_equal(coords, mesh.vertices)
+
+
+def _unit_square_with(boundary_edges):
+    """Level-0 unit square (triangles [0, 1, 3] and [0, 3, 2], diagonal
+    0-3) with the given boundary edge rows."""
+    mesh = build_unit_square_mesh(0)
+    return Mesh(mesh.vertices, mesh.triangles, boundary_edges, 0)
+
+
+def test_validate_accepts_the_unit_square():
+    _unit_square_with(build_unit_square_mesh(0).boundary_edges).validate()
+
+
+def test_validate_rejects_an_edge_in_three_triangles():
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                          [0.5, 1.0]]),
+                np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+                np.zeros((0, 4)), 0)
+    with pytest.raises(MeshError, match="shared by >2 triangles"):
+        mesh.validate()
+
+
+def test_validate_rejects_a_missing_boundary_edge():
+    edges = build_unit_square_mesh(0).boundary_edges
+    with pytest.raises(MeshError, match="does not match topology"):
+        _unit_square_with(edges[1:]).validate()
+
+
+def test_validate_rejects_an_interior_edge_listed_as_boundary():
+    edges = build_unit_square_mesh(0).boundary_edges.copy()
+    edges[0] = [3, 0, 0, 0]                  # the diagonal, in place of 0-1
+    with pytest.raises(MeshError, match="boundary edge is interior"):
+        _unit_square_with(edges).validate()
+
+
+def test_validate_rejects_a_boundary_edge_of_another_triangle():
+    edges = build_unit_square_mesh(0).boundary_edges.copy()
+    assert edges[0].tolist() == [0, 1, 0, 0]
+    edges[0, 2] = 1                          # triangle [0, 3, 2] lacks 1
+    with pytest.raises(MeshError, match="not an edge of its owner"):
+        _unit_square_with(edges).validate()
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_validate_rejects_a_boundary_vertex_out_of_range(vertex):
+    edges = build_unit_square_mesh(0).boundary_edges.copy()
+    edges[0, 1] = vertex
+    with pytest.raises(MeshError, match="outside the vertex range"):
+        _unit_square_with(edges).validate()
+
+
+def test_invalid_mesh_triangle_index_out_of_range():
+    for bad in (-1, 3):
+        with pytest.raises(MeshError, match="outside the vertex range"):
+            Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                 np.array([[0, 1, bad]]), np.zeros((0, 4)), 0)
 
 
 def test_invalid_mesh_negative_area():
