@@ -15,8 +15,7 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
                   prolong_p1)
 from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
-                   barycentric_coordinates, build_unit_square_mesh, locate,
-                   refine)
+                   build_unit_square_mesh, refine)
 from .optimizer import (Bounds, OcpSolution, cost, gradient_field,
                         hessian_bilinear, kkt_residual, project_control,
                         solve_ocp)

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import MeshError, OcfemError
 from .linalg import FactorSlot, SparseSymOperator
-from .mesh import Mesh, ProlongationMap, barycentric_coordinates, locate
+from .mesh import Mesh, ProlongationMap
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,6 @@ class P1Field:
     def at_quadrature(self) -> np.ndarray:
         """Values at all quadrature points, shape (nt, nq)."""
         return self.values[self.mesh.triangles] @ TRIANGLE_RULE.points.T
-
-    def eval_in_triangles(self, tri_idx, points) -> np.ndarray:
-        """Evaluate at ``points`` known to lie in triangles ``tri_idx``."""
-        lam = barycentric_coordinates(self.mesh, tri_idx, points)
-        nodal = self.values[self.mesh.triangles[np.asarray(tri_idx, np.int64)]]
-        return np.sum(nodal * lam, axis=-1)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at arbitrary points (uses mesh point location)."""
-        return self.eval_in_triangles(locate(self.mesh, points), points)
 
     def write_text(self, stream) -> None:
         stream.write(f"p1 {len(self.values)}\n")

@@ -6,11 +6,14 @@ L2 differences through exact nested prolongation, and records experimental
 orders of convergence together with the free-boundary diagnostics
 (mixed-element classification and the barycenter-sampled comparison field).
 
-Tabulation locates no point: the coarse post-processed control reaches the
-fine quadrature points through exact P1 prolongation, and the finest one is
-sampled at a coarse level's vertices and barycenters by index.  Both rely on
-the layout ``mesh.refine`` fixes: a parent vertex keeps its index, and child
-3 of every triangle is the middle child, with its parent's barycenter.
+Nothing here locates a point: the coarse post-processed control reaches the
+fine quadrature points through exact P1 prolongation, and a finer one is
+sampled at a coarse level's vertices and barycenters by index
+(``PostprocessedControl.samples_on``).  Classification and the comparison
+field read those samples; ``Classification.sample`` is the sample column
+each element is compared at.  Both rely on the layout ``mesh.refine`` fixes:
+a parent vertex keeps its index, and child 3 of every triangle is the middle
+child, with its parent's barycenter.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ import numpy as np
 from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field, TRIANGLE_RULE
-from .mesh import (Mesh, ProlongationMap, barycenters,
-                   build_unit_square_mesh, check_level, locate, refine)
+from .mesh import (Mesh, ProlongationMap, build_unit_square_mesh,
+                   check_level, refine)
 from .optimizer import Bounds, OcpSolution
 
 
@@ -68,11 +71,6 @@ class PostprocessedControl:
     def _from_values(self, y, phi) -> np.ndarray:
         """``clamp(y phi / nu)`` of state and adjoint values."""
         return self.bounds.clamp(y * phi / self.nu)
-
-    def __call__(self, points) -> np.ndarray:
-        tri = locate(self.mesh, points)
-        return self._from_values(self.state.eval_in_triangles(tri, points),
-                                 self.adjoint.eval_in_triangles(tri, points))
 
     def samples_on(self, mesh: Mesh) -> np.ndarray:
         """Values at the three vertices and the barycenter of every
@@ -129,74 +127,50 @@ def postprocess_error_cross(pmap: ProlongationMap,
 class Classification:
     """Element split by mixed active/inactive control samples.
 
-    ``sample_points`` holds the comparison point of every element: the
-    barycenter for pure elements, the first active sample for mixed ones.
+    ``sample`` holds the comparison column of every element in
+    ``PostprocessedControl.samples_on``: 3, the barycenter, for pure
+    elements, the first active sample for mixed ones.
     """
 
     t1: np.ndarray            # indices of mixed elements
     t2: np.ndarray            # indices of the rest
     measure_t1: float
-    sample_points: np.ndarray  # (nt, 2)
+    sample: np.ndarray        # (nt,)
     tol_active: float
 
 
-def _control_samples(mesh, control, points):
-    if isinstance(control, P0Field):
-        if control.mesh is not mesh:
-            raise OcfemError("P0 control lives on a different mesh")
-        return np.broadcast_to(control.values[:, None],
-                               points.shape[:2]).copy()
-    flat = points.reshape(-1, 2)
-    vals = np.asarray(control(flat), dtype=float)
-    return vals.reshape(points.shape[:2])
-
-
-def classify_elements(mesh: Mesh, control, bounds: Bounds,
+def classify_elements(mesh: Mesh, control: PostprocessedControl,
+                      bounds: Bounds,
                       tol_active: Optional[float] = None) -> Classification:
     """Split elements into mixed (active and inactive samples) and pure.
 
-    Samples each element at its vertices and barycenter.  ``control`` is a
-    pointwise evaluator, a P0Field (which always classifies as pure) or a
-    PostprocessedControl on ``mesh`` or a refinement of it, sampled by
-    index (``PostprocessedControl.samples_on``).
+    Samples each element at its vertices and barycenter by index
+    (``control.samples_on``), so ``control`` lives on ``mesh`` or a
+    refinement of it.
     """
     if tol_active is None:
         if math.isfinite(bounds.beta):
             tol_active = 1e-6 * (bounds.beta - bounds.alpha)
         else:
             tol_active = 1e-6 * max(1.0, abs(bounds.alpha))
-    verts = mesh.vertices[mesh.triangles]            # (nt, 3, 2)
-    centers = barycenters(mesh)[:, None, :]
-    points = np.concatenate([verts, centers], axis=1)  # (nt, 4, 2)
-    if isinstance(control, PostprocessedControl):
-        vals = control.samples_on(mesh)
-    else:
-        vals = _control_samples(mesh, control, points)
-
+    vals = control.samples_on(mesh)
     active = (np.abs(vals - bounds.alpha) <= tol_active) | \
         (np.abs(vals - bounds.beta) <= tol_active)
     mixed = active.any(axis=1) & (~active).any(axis=1)
-
-    sample_points = centers[:, 0, :].copy()
-    if mixed.any():
-        first_active = np.argmax(active[mixed], axis=1)
-        sample_points[mixed] = points[mixed, first_active]
     t1 = np.flatnonzero(mixed)
     t2 = np.flatnonzero(~mixed)
     return Classification(t1=t1, t2=t2,
                           measure_t1=float(mesh.areas[t1].sum()),
-                          sample_points=sample_points,
+                          sample=np.where(mixed, np.argmax(active, axis=1), 3),
                           tol_active=float(tol_active))
 
 
-def build_wh(mesh: Mesh, control, classification: Classification) -> P0Field:
-    """Comparison field: control sampled at the classification points."""
-    pts = classification.sample_points
-    if isinstance(control, P0Field):
-        vals = _control_samples(mesh, control, pts[:, None, :])[:, 0]
-    else:
-        vals = np.asarray(control(pts), dtype=float)
-    return P0Field(mesh, vals)
+def build_wh(mesh: Mesh, control: PostprocessedControl,
+             classification: Classification) -> P0Field:
+    """Comparison field: control sampled at the classification's columns."""
+    vals = np.take_along_axis(control.samples_on(mesh),
+                              classification.sample[:, None], axis=1)
+    return P0Field(mesh, vals[:, 0])
 
 
 def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,

@@ -295,15 +295,6 @@ def test_field_dump_format():
     assert out.getvalue().splitlines()[0] == f"p0 {mesh.num_triangles}"
 
 
-def test_field_evaluate_linear_exact():
-    mesh = build_unit_square_mesh(3)
-    field = P1Field.from_function(mesh, lambda x: 1.0 + x[..., 0] - x[..., 1])
-    rng = np.random.default_rng(15)
-    pts = rng.uniform(0.0, 1.0, (50, 2))
-    assert field.evaluate(pts) == \
-        pytest.approx(1.0 + pts[:, 0] - pts[:, 1], abs=1e-13)
-
-
 def test_integrate_matches_oracle():
     mesh = build_unit_square_mesh(4)
 

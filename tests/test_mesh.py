@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from ocfem import (Mesh, MeshError, MeshSizeError, P0Field, P1Field,
-                   barycenters, barycentric_coordinates,
-                   build_unit_square_mesh, locate, prolong_p0, prolong_p1,
-                   refine)
-from ocfem.mesh import check_level
+                   barycenters, build_unit_square_mesh, prolong_p0,
+                   prolong_p1, refine)
+from ocfem.mesh import barycentric_coordinates, check_level, locate
 
 
 def canonical_triangles(mesh):

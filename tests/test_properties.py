@@ -1,0 +1,91 @@
+"""Property tests of the nested mesh hierarchy: samples by index against
+point location, exact prolongation, and the layout ``refine`` fixes.
+
+Every test is derandomized, so each run draws the same examples.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ocfem import (Bounds, Mesh, P0Field, P1Field, PostprocessedControl,
+                   barycenters, build_unit_square_mesh, l2_diff_p0,
+                   l2_norm_p1, prolong_p0, prolong_p1, refine)
+from ocfem.mesh import barycentric_coordinates, locate
+
+EPS = np.finfo(float).eps
+deterministic = settings(derandomize=True, deadline=None, max_examples=50)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    """Meshes of levels 0..7 refined from one root, and their maps."""
+    meshes = [build_unit_square_mesh(0)]
+    maps = []
+    for _ in range(7):
+        child, pmap = refine(meshes[-1])
+        meshes.append(child)
+        maps.append(pmap)
+    return meshes, maps
+
+
+@deterministic
+@given(level=st.integers(0, 4), k=st.integers(0, 3), seed=seeds,
+       alpha=st.floats(-1.0, 0.0), width=st.floats(0.01, 2.0),
+       nu=st.floats(0.05, 2.0), scale=st.floats(1e-3, 1e3))
+def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
+                                         width, nu, scale):
+    meshes, _ = hierarchy
+    coarse, fine = meshes[level], meshes[level + k]
+    rng = np.random.default_rng(seed)
+    y = scale * rng.uniform(-1.0, 1.0, fine.num_vertices)
+    phi = rng.uniform(-1.0, 1.0, fine.num_vertices)
+    pp = PostprocessedControl(fine, P1Field(fine, y), P1Field(fine, phi),
+                              Bounds(alpha, alpha + width), nu)
+    points = np.concatenate([coarse.vertices[coarse.triangles],
+                             barycenters(coarse)[:, None, :]],
+                            axis=1).reshape(-1, 2)
+    tri = locate(fine, points)
+    lam = barycentric_coordinates(fine, tri, points)
+    nodes = fine.triangles[tri]
+    located = pp.bounds.clamp(np.sum(y[nodes] * lam, axis=-1)
+                              * np.sum(phi[nodes] * lam, axis=-1)
+                              / nu).reshape(-1, 4)
+    samples = pp.samples_on(coarse)
+    assert np.array_equal(samples[:, :3], located[:, :3])
+    # Barycentric coordinates at a barycenter carry round-off of order
+    # eps / h, relative to the size of the unclamped product.
+    bound = 4.0 * EPS / fine.h * np.abs(y).max() * np.abs(phi).max() / nu
+    assert np.max(np.abs(samples[:, 3] - located[:, 3])) <= bound
+
+
+@deterministic
+@given(level=st.integers(0, 6), seed=seeds, scale=st.floats(1e-6, 1e6))
+def test_prolongation_keeps_the_l2_norm(hierarchy, level, seed, scale):
+    meshes, maps = hierarchy
+    mesh, child, pmap = meshes[level], meshes[level + 1], maps[level]
+    rng = np.random.default_rng(seed)
+    p1 = P1Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_vertices))
+    assert l2_norm_p1(prolong_p1(pmap, p1)) == \
+        pytest.approx(l2_norm_p1(p1), rel=1e-13)
+    p0 = P0Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    assert l2_diff_p0(prolong_p0(pmap, p0), P0Field.zeros(child)) == \
+        pytest.approx(l2_diff_p0(p0, P0Field.zeros(mesh)), rel=1e-13)
+
+
+@deterministic
+@given(level=st.integers(0, 5), seed=seeds, jitter=st.floats(0.0, 0.125))
+def test_refine_keeps_vertices_and_middle_barycenters(level, seed, jitter):
+    mesh = build_unit_square_mesh(level)
+    # Move the interior vertices by up to an eighth of a cell: the mesh
+    # stays valid, and the layout must not depend on its structure.
+    n = 1 << level
+    interior = np.all((mesh.vertices > 0.0) & (mesh.vertices < 1.0), axis=1)
+    moved = mesh.vertices.copy()
+    moved[interior] += jitter / n * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (int(interior.sum()), 2))
+    mesh = Mesh(moved, mesh.triangles, mesh.boundary_edges, level)
+    child, _ = refine(mesh)
+    assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
+    middle = barycenters(child)[3::4]
+    assert np.max(np.abs(middle - barycenters(mesh))) <= 4.0 * EPS

@@ -3,13 +3,23 @@ import numpy as np
 import pytest
 
 from ocfem import (Bounds, CoercivityError, MeshSizeError,
-                   NonconvergenceError, OcfemError, P0Field, P1Field,
-                   barycenters, barycentric_coordinates,
+                   NonconvergenceError, OcfemError, P1Field, barycenters,
                    build_unit_square_mesh, build_wh, classify_elements, eoc,
                    get_preset, PostprocessedControl, postprocess_error_cross,
                    refine, run_study)
 from ocfem import fem, optimizer, study
 from ocfem.linalg import SparseSymOperator
+from ocfem.mesh import barycentric_coordinates, locate
+
+
+def affine_control(mesh, bounds, c0, c1=0.0, c2=0.0, nu=0.5):
+    """Post-processed control on ``mesh`` with nodal y = 1 and
+    phi = nu (c0 + c1 x1 + c2 x2): y phi / nu is affine, so its vertex and
+    barycenter samples are ``c0 + c1 x1 + c2 x2`` there, clamped."""
+    x = mesh.vertices
+    phi = nu * (c0 + c1 * x[:, 0] + c2 * x[:, 1])
+    return PostprocessedControl(mesh, P1Field(mesh, np.ones(len(x))),
+                                P1Field(mesh, phi), bounds, nu)
 
 
 def test_eoc_values():
@@ -25,8 +35,8 @@ def test_postprocess_zero_state():
     pp = PostprocessedControl(mesh, P1Field.zeros(mesh),
                               P1Field(mesh, np.ones(mesh.num_vertices)),
                               Bounds(-1.0, 1.0), 0.05)
-    pts = np.array([[0.2, 0.3], [0.9, 0.1]])
-    assert pp(pts) == pytest.approx(0.0, abs=0.0)
+    assert np.array_equal(pp.samples_on(mesh),
+                          np.zeros((mesh.num_triangles, 4)))
 
 
 def test_postprocess_clamps():
@@ -35,7 +45,7 @@ def test_postprocess_clamps():
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
     pp = PostprocessedControl(mesh, y, phi, Bounds(-1.0, 1.0), nu)
-    assert pp(np.array([[0.5, 0.5]])) == pytest.approx(1.0, abs=0.0)
+    assert np.all(pp.samples_on(mesh) == 1.0)
 
 
 def test_postprocess_cross_error_on_constants():
@@ -56,29 +66,20 @@ def test_postprocess_cross_error_on_constants():
 def test_classify_all_active_and_all_inactive():
     mesh = build_unit_square_mesh(3)
     bounds = Bounds(-1.0, 1.0)
-    at_bound = classify_elements(mesh, lambda x: np.full(len(x), -1.0), bounds)
+    at_bound = classify_elements(mesh, affine_control(mesh, bounds, -1.0),
+                                 bounds)
     assert len(at_bound.t1) == 0
     assert at_bound.measure_t1 == 0.0
-    interior = classify_elements(mesh, lambda x: np.zeros(len(x)), bounds)
+    interior = classify_elements(mesh, affine_control(mesh, bounds, 0.0),
+                                 bounds)
     assert len(interior.t1) == 0
     assert len(interior.t2) == mesh.num_triangles
-
-
-def test_classify_p0_control_is_always_pure():
-    mesh = build_unit_square_mesh(3)
-    rng = np.random.default_rng(41)
-    control = P0Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
-    result = classify_elements(mesh, control, Bounds(-1.0, 1.0))
-    assert len(result.t1) == 0
 
 
 def test_classify_mixed_band():
     mesh = build_unit_square_mesh(4)
     bounds = Bounds(-1.0, 1.0)
-
-    def control(x):
-        return np.clip(2.0 * x[..., 0] + 0.2, -1.0, 1.0)
-
+    control = affine_control(mesh, bounds, 0.2, 2.0)
     result = classify_elements(mesh, control, bounds)
     # the control saturates at the upper bound for x1 >= 0.4; mixed
     # elements straddle that clamp line
@@ -91,43 +92,41 @@ def test_classify_mixed_band():
 
 def test_classify_tolerance_default_with_infinite_upper_bound():
     mesh = build_unit_square_mesh(2)
-    result = classify_elements(mesh, lambda x: np.zeros(len(x)),
-                               Bounds(-2.0, np.inf))
+    bounds = Bounds(-2.0, np.inf)
+    result = classify_elements(mesh, affine_control(mesh, bounds, 0.0),
+                               bounds)
     assert result.tol_active == pytest.approx(2e-6)
 
 
 def test_build_wh_affine_all_pure():
     mesh = build_unit_square_mesh(3)
-
-    def control(x):
-        return 0.25 + 0.5 * x[..., 0] - 0.125 * x[..., 1]
-
-    classification = classify_elements(mesh, control, Bounds(-10.0, 10.0))
+    bounds = Bounds(-10.0, 10.0)
+    control = affine_control(mesh, bounds, 0.25, 0.5, -0.125)
+    classification = classify_elements(mesh, control, bounds)
     assert len(classification.t1) == 0
+    assert np.all(classification.sample == 3)
     field = build_wh(mesh, control, classification)
-    assert field.values == pytest.approx(control(barycenters(mesh)),
-                                         abs=1e-14)
+    centers = barycenters(mesh)
+    assert field.values == pytest.approx(
+        0.25 + 0.5 * centers[:, 0] - 0.125 * centers[:, 1], abs=1e-14)
 
 
 def test_build_wh_constant_control():
     mesh = build_unit_square_mesh(3)
-
-    def mixed(x):   # classification with nonempty mixed set
-        return np.clip(2.0 * x[..., 0] + 0.2, -1.0, 1.0)
-
-    classification = classify_elements(mesh, mixed, Bounds(-1.0, 1.0))
-    field = build_wh(mesh, lambda x: np.full(len(x), 0.3), classification)
+    bounds = Bounds(-1.0, 1.0)
+    mixed = affine_control(mesh, bounds, 0.2, 2.0)   # nonempty mixed set
+    classification = classify_elements(mesh, mixed, bounds)
+    assert len(classification.t1) > 0
+    field = build_wh(mesh, affine_control(mesh, bounds, 0.3), classification)
     assert field.values == pytest.approx(0.3, abs=0.0)
 
 
 def test_build_wh_uses_active_sample_on_mixed_elements():
     mesh = build_unit_square_mesh(4)
     bounds = Bounds(-1.0, 1.0)
-
-    def control(x):
-        return np.clip(2.0 * x[..., 0] + 0.2, -1.0, 1.0)
-
+    control = affine_control(mesh, bounds, 0.2, 2.0)
     classification = classify_elements(mesh, control, bounds)
+    assert np.all(classification.sample[classification.t1] < 3)
     field = build_wh(mesh, control, classification)
     assert np.all(np.abs(field.values[classification.t1] - 1.0) <= 1e-12)
 
@@ -269,9 +268,19 @@ def test_samples_on_match_located_values(hierarchy, level, k):
         fine, P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
         P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
         Bounds(-0.6, 0.6), 0.8)
+    # Oracle: locate each vertex and barycenter of ``coarse`` in ``fine``
+    # and interpolate there by its barycentric coordinates.
     points = np.concatenate([coarse.vertices[coarse.triangles],
-                             barycenters(coarse)[:, None, :]], axis=1)
-    located = pp(points.reshape(-1, 2)).reshape(-1, 4)
+                             barycenters(coarse)[:, None, :]],
+                            axis=1).reshape(-1, 2)
+    tri = locate(fine, points)
+    lam = barycentric_coordinates(fine, tri, points)
+
+    def located_at(field):
+        return np.sum(field.values[fine.triangles[tri]] * lam, axis=-1)
+
+    located = pp.bounds.clamp(located_at(pp.state) * located_at(pp.adjoint)
+                              / pp.nu).reshape(-1, 4)
     samples = pp.samples_on(coarse)
     assert samples.shape == (coarse.num_triangles, 4)
     assert np.any(np.abs(located) == 0.6)              # the clamp is hit
@@ -331,20 +340,17 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
 
 
 def test_run_study_locates_no_point(monkeypatch):
-    import sys
+    import ocfem
     from ocfem import mesh as mesh_mod
-    real = mesh_mod.locate
+    # Only ocfem.mesh binds point location; the tests use it as an oracle.
+    for module in (ocfem, study, fem):
+        assert not hasattr(module, "locate")
+        assert not hasattr(module, "barycentric_coordinates")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("run_study located a point")
 
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if (name == "ocfem" or name.startswith("ocfem.")) and \
-                getattr(module, "locate", None) is real:
-            monkeypatch.setattr(module, "locate", forbidden)
-            patched += 1
-    assert patched >= 3                 # ocfem, ocfem.mesh, ocfem.study
+    monkeypatch.setattr(mesh_mod, "locate", forbidden)
     records = run_study(get_preset("paper-sec6"), 2, 5)
     assert [r.level for r in records] == [2, 3, 4]
     assert all(r.measure_t1 > 0.0 for r in records)
