@@ -16,9 +16,8 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
 from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, refine)
-from .optimizer import (Bounds, OcpSolution, cost, gradient_field,
-                        hessian_bilinear, kkt_residual, project_control,
-                        solve_ocp)
+from .optimizer import (Bounds, Linearization, OcpSolution, cost,
+                        kkt_residual, project_control, solve_ocp)
 from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)
 from .presets import PRESET_NAMES, get_preset

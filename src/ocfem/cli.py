@@ -8,7 +8,6 @@ configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from math import factorial
@@ -223,7 +222,7 @@ def _check_projection(level: int) -> str:
         return x[..., 0] ** 2 + 0.5 * x[..., 0] * x[..., 1]
 
     projected = fem.l2_project_p0(mesh, source)
-    vals = fem._as_quad_values(mesh, source)
+    vals = fem.at_points(source, fem.quadrature_points(mesh))
     defect = vals - projected.values[:, None]
     per_t = mesh.areas * (defect @ fem.TRIANGLE_RULE.weights)
     rng = np.random.default_rng(7)
@@ -262,15 +261,13 @@ def _linearization(spec, mesh):
 
     u = fem.l2_project_p0(mesh, profile)
     u = P0Field(mesh, optimizer.Bounds(spec.alpha, spec.beta).clamp(u.values))
-    return (optimizer._LinearizedProblem(spec, mesh, u),
+    return (optimizer.Linearization(spec, mesh, u),
             fem.l2_project_p0(mesh, dir1), fem.l2_project_p0(mesh, dir2))
 
 
-def _check_gradient_fd(spec, problem, v, _) -> str:
-    mesh, u, state = problem.mesh, problem.u, problem.state
-    grad = optimizer.gradient_field(spec, mesh, u, state=state,
-                                    adjoint=problem.adjoint)
-    derivative = float(np.sum(mesh.areas * grad.values * v.values))
+def _check_gradient_fd(problem, v, _) -> str:
+    spec, mesh, u, state = problem.spec, problem.mesh, problem.u, problem.state
+    derivative = float(np.sum(mesh.areas * problem.gradient * v.values))
     t = 1e-4
     plus = optimizer.cost(spec, mesh, P0Field(mesh, u.values + t * v.values),
                           init=state)
@@ -283,22 +280,18 @@ def _check_gradient_fd(spec, problem, v, _) -> str:
     return f"relative error {rel:.2e} at t={t:g}"
 
 
-def _check_hessian_symmetry(spec, problem, v1, v2) -> str:
-    mesh, u = problem.mesh, problem.u
-    h12 = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, problem=problem)
-    h21 = optimizer.hessian_bilinear(spec, mesh, u, v2, v1, problem=problem)
+def _check_hessian_symmetry(problem, v1, v2) -> str:
+    h12 = problem.hessian(v1, v2)
+    h21 = problem.hessian(v2, v1)
     gap = abs(h12 - h21) / (1.0 + abs(h12))
     if gap > 1e-10:
         raise OcfemError(f"Hessian symmetry defect {gap:.3e}")
     return f"symmetry defect {gap:.2e}"
 
 
-def _check_z_eta(spec, problem, v1, v2) -> str:
-    mesh, u = problem.mesh, problem.u
-    hz = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form="z",
-                                    problem=problem)
-    he = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form="eta",
-                                    problem=problem)
+def _check_z_eta(problem, v1, v2) -> str:
+    hz = problem.hessian(v1, v2, form="z")
+    he = problem.hessian(v1, v2, form="eta")
     gap = abs(hz - he) / (1.0 + abs(hz))
     if gap > 1e-8:
         raise OcfemError(f"z-form vs eta-form gap {gap:.3e}")
@@ -326,10 +319,9 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
         ("projection-orthogonality", lambda: _check_projection(cfg.level),
          False),
         ("manufactured-constant", lambda: _check_manufactured(mesh), False),
-        ("gradient-fd", lambda: _check_gradient_fd(spec, *fixture), True),
-        ("hessian-symmetry", lambda: _check_hessian_symmetry(spec, *fixture),
-         True),
-        ("z-eta-agreement", lambda: _check_z_eta(spec, *fixture), True),
+        ("gradient-fd", lambda: _check_gradient_fd(*fixture), True),
+        ("hessian-symmetry", lambda: _check_hessian_symmetry(*fixture), True),
+        ("z-eta-agreement", lambda: _check_z_eta(*fixture), True),
     ]
     for name, fn, needs_admissible_data in items:
         if needs_admissible_data and fixture is None:
@@ -346,15 +338,6 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     for name, status, detail in results:
         print(f"{status} {name}: {detail}")
     return 1 if failed else 0
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("OCFEM_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

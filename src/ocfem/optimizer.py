@@ -1,5 +1,10 @@
 """Discrete cost, derivatives, projection formula, and the outer solver.
 
+Every derivative of the reduced cost at a control comes from one
+``Linearization``: its state, adjoint, gradient, curvature weight, Hessian
+products and both Hessian forms.  ``solve_ocp`` builds one per outer
+iteration, and ``ocfem check`` one for its derivative checks.
+
 The outer solver is a primal-dual active-set (semismooth Newton) method on
 the projection-formula residual ``u - Proj((1/nu) * elementwise_mean(y*phi))``:
 elements are classified by the current multiplier, active values are fixed
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -53,9 +59,12 @@ class OcpSolution:
     state_report: pde.SolveReport
 
 
-class _LinearizedProblem:
-    """State, adjoint and the shared operator at a control.  The state's
-    Newton tangents and the operator share ``slot`` (a new one if None)."""
+class Linearization:
+    """State, adjoint and the derivatives of the reduced cost at a control.
+
+    Every Hessian product reuses the operator of the linearized form at the
+    state.  The state's Newton tangents and the operator share ``slot`` (a
+    new one if None)."""
 
     def __init__(self, spec, mesh, u, state_init=None, *, stiffness=None,
                  newton_tol=1e-11, linear_tol=1e-12, slot=None):
@@ -64,7 +73,6 @@ class _LinearizedProblem:
         self.u = u
         if stiffness is None:
             stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
-        self.stiffness = stiffness
         if slot is None:
             slot = FactorSlot()
         self.state, self.report = pde.solve_state(
@@ -72,24 +80,29 @@ class _LinearizedProblem:
             linear_tol=linear_tol, stiffness=stiffness, slot=slot)
         self.operator = pde.linearized_operator(spec, mesh, u, self.state,
                                                 stiffness=stiffness, slot=slot)
-        self.adjoint = pde.solve_adjoint(spec, mesh, u, self.state,
-                                         operator=self.operator,
+        self.adjoint = pde.solve_adjoint(spec, self.operator, self.state,
                                          linear_tol=linear_tol)
         self.linear_tol = linear_tol
-        self._curvature = None
         self.product_mean = fem.elementwise_p1_product_mean(
             mesh, self.state, self.adjoint)
+        # Elementwise gradient nu u_T - mean_T(y phi) (exact means): the
+        # derivative in a P0 direction v is sum_T gradient_T v_T |T|.
+        self.gradient = spec.nu * u.values - self.product_mean
 
-    @property
-    def curvature(self):
-        if self._curvature is None:
-            self._curvature = pde.second_order_weight(
-                self.spec, self.mesh, self.state, self.adjoint)
-        return self._curvature
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Quadrature values of ``d2L/dy2(x,y) - phi * d2a/dy2(x,y)``,
+        (nt, nq), shared by the second-order solve and the z-form."""
+        spec = self.spec
+        pts = fem.quadrature_points(self.mesh)
+        yq = self.state.at_quadrature()
+        d2a = fem.at_points(spec.nonlinearity_dyy, pts, yq)
+        d2l = (0.0 if spec.objective_dyy is None else
+               fem.at_points(spec.objective_dyy, pts, yq))
+        return d2l - self.adjoint.at_quadrature() * d2a
 
     def solve_z(self, v: P0Field) -> P1Field:
-        return pde.solve_linearized(self.spec, self.mesh, self.u, self.state,
-                                    v, operator=self.operator,
+        return pde.solve_linearized(self.operator, self.state, v,
                                     linear_tol=self.linear_tol)
 
     def hessian_apply_values(self, v_values: np.ndarray) -> np.ndarray:
@@ -100,13 +113,35 @@ class _LinearizedProblem:
         """
         v = P0Field(self.mesh, v_values)
         z = self.solve_z(v)
-        eta = pde.solve_eta(self.spec, self.mesh, self.u, self.state,
-                            self.adjoint, z, v, operator=self.operator,
-                            curvature=self.curvature,
-                            linear_tol=self.linear_tol)
+        eta = pde.solve_eta(self.operator, self.adjoint, z, v,
+                            self.curvature, linear_tol=self.linear_tol)
         mean = fem.elementwise_p1_product_mean(self.mesh, self.adjoint, z)
         mean += fem.elementwise_p1_product_mean(self.mesh, self.state, eta)
         return self.spec.nu * v_values - mean
+
+    def hessian(self, v1: P0Field, v2: P0Field, form: str = "z") -> float:
+        """Second derivative of the discrete cost in two P0 directions.
+
+        ``form="z"`` evaluates the symmetric two-solve expression;
+        ``form="eta"`` evaluates the representation through the auxiliary
+        second-order solve (with the Tikhonov factor nu on the leading
+        term).  Both agree to solver tolerance.
+        """
+        mesh, phi, nu = self.mesh, self.adjoint, self.spec.nu
+        if form == "eta":
+            hv = self.hessian_apply_values(v1.values)
+            return float(np.sum(mesh.areas * hv * v2.values))
+        if form != "z":
+            raise OcfemError("form must be 'z' or 'eta'")
+        z1 = self.solve_z(v1)
+        z2 = z1 if v2 is v1 else self.solve_z(v2)
+        current = fem.integrate(
+            mesh, self.curvature * z1.at_quadrature() * z2.at_quadrature())
+        cross = fem.elementwise_p1_product_mean(mesh, z2, phi) * v1.values
+        cross += fem.elementwise_p1_product_mean(mesh, z1, phi) * v2.values
+        current -= float(np.sum(mesh.areas * cross))
+        current += nu * float(np.sum(mesh.areas * v1.values * v2.values))
+        return current
 
 
 def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
@@ -123,21 +158,6 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
     return tracking + tikhonov
 
 
-def gradient_field(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
-                   state: P1Field = None, adjoint: P1Field = None,
-                   **solve_kwargs) -> P0Field:
-    """Elementwise gradient ``nu u_T - mean_T(y phi)`` (exact means).
-
-    The directional derivative in a P0 direction v is exactly
-    ``sum_T grad_T v_T |T|``.
-    """
-    if state is None or adjoint is None:
-        state, _ = pde.solve_state(spec, mesh, u, **solve_kwargs)
-        adjoint = pde.solve_adjoint(spec, mesh, u, state)
-    mean = fem.elementwise_p1_product_mean(mesh, state, adjoint)
-    return P0Field(mesh, spec.nu * u.values - mean)
-
-
 def project_control(mesh: Mesh, state: P1Field, adjoint: P1Field,
                     bounds: Bounds, nu: float) -> P0Field:
     """Projection formula: clamp of the elementwise mean of y*phi / nu."""
@@ -149,35 +169,6 @@ def kkt_residual(mesh: Mesh, u: P0Field, state: P1Field, adjoint: P1Field,
                  bounds: Bounds, nu: float) -> float:
     """L2 distance between u and its projection-formula image."""
     return fem.l2_diff_p0(u, project_control(mesh, state, adjoint, bounds, nu))
-
-
-def hessian_bilinear(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field,
-                     v1: P0Field, v2: P0Field, *, form: str = "z",
-                     problem: Optional[_LinearizedProblem] = None) -> float:
-    """Second derivative of the discrete cost in two P0 directions.
-
-    ``form="z"`` evaluates the symmetric two-solve expression;
-    ``form="eta"`` evaluates the representation through the auxiliary
-    second-order solve (with the Tikhonov factor nu on the leading term).
-    Both agree to solver tolerance.
-    """
-    if problem is None:
-        problem = _LinearizedProblem(spec, mesh, u)
-    if form == "eta":
-        hv = problem.hessian_apply_values(v1.values)
-        return float(np.sum(mesh.areas * hv * v2.values))
-    if form != "z":
-        raise OcfemError("form must be 'z' or 'eta'")
-    z1 = problem.solve_z(v1)
-    z2 = z1 if v2 is v1 else problem.solve_z(v2)
-    current = fem.integrate(
-        mesh, problem.curvature * z1.at_quadrature() * z2.at_quadrature())
-    phi = problem.adjoint
-    cross = fem.elementwise_p1_product_mean(mesh, z2, phi) * v1.values
-    cross += fem.elementwise_p1_product_mean(mesh, z1, phi) * v2.values
-    current -= float(np.sum(mesh.areas * cross))
-    current += spec.nu * float(np.sum(mesh.areas * v1.values * v2.values))
-    return current
 
 
 # Relative residual target and iteration budget of the reduced CG.
@@ -245,10 +236,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
         # Release the previous problem, and its operator, before the next
         # one is built.
         problem = None
-        problem = _LinearizedProblem(spec, mesh, P0Field(mesh, u_values),
-                                     state_init=y_guess, stiffness=stiffness,
-                                     newton_tol=newton_tol,
-                                     linear_tol=linear_tol, slot=slot)
+        problem = Linearization(spec, mesh, P0Field(mesh, u_values),
+                                state_init=y_guess, stiffness=stiffness,
+                                newton_tol=newton_tol,
+                                linear_tol=linear_tol, slot=slot)
         y_guess = problem.state
         q = problem.product_mean / spec.nu
         projected = bounds.clamp(q)
@@ -275,7 +266,6 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
             stall = 0
             continue
 
-        multiplier = spec.nu * u_values - problem.product_mean
         active_low = q < spec.alpha
         active_high = q > spec.beta
         inactive = ~(active_low | active_high)
@@ -283,7 +273,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
         delta[active_low] = spec.alpha - u_values[active_low]
         delta[active_high] = spec.beta - u_values[active_high]
 
-        rhs = -multiplier
+        rhs = -problem.gradient
         if np.any(~inactive):
             h_active = problem.hessian_apply_values(
                 np.where(inactive, 0.0, delta))

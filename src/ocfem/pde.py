@@ -1,9 +1,10 @@
 """Nonlinear state solve and the linear solves of the derivative machinery.
 
 All four solves share one bilinear form: the diffusion form plus a reaction
-term whose weight is ``da/dy(x, y_h) + u``.  The operator is assembled once
-per state and reused by the adjoint, linearized-state and second-order
-solves.  Consecutive operators differ only in that weight, so the operators
+term whose weight is ``da/dy(x, y_h) + u``.  The adjoint, linearized-state
+and second-order solves take that operator as an argument: it is built once
+per state (``optimizer.Linearization`` does so) and never reassembled by a
+solve.  Consecutive operators differ only in that weight, so the operators
 of one chain (the Newton steps of a state solve, or every operator of an
 outer optimization) share a ``FactorSlot``: an operator first refines with
 the chain's latest factor and is factored only when that solution is not
@@ -107,21 +108,6 @@ class SolveReport:
     converged: bool = False
 
 
-def second_order_weight(spec: ProblemSpec, mesh: Mesh, y: P1Field,
-                        phi: P1Field) -> np.ndarray:
-    """Quadrature values of ``d2L/dy2(x,y) - phi * d2a/dy2(x,y)``, (nt, nq).
-
-    Shared by the second-order solve and the quadratic-form evaluation so
-    that both sides of the cross-check integrate the same function.
-    """
-    pts = fem.quadrature_points(mesh)
-    yq = y.at_quadrature()
-    d2a = fem.at_points(spec.nonlinearity_dyy, pts, yq)
-    d2l = (0.0 if spec.objective_dyy is None else
-           fem.at_points(spec.objective_dyy, pts, yq))
-    return d2l - phi.at_quadrature() * d2a
-
-
 def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                         y: P1Field,
                         stiffness: SparseSymOperator = None,
@@ -202,39 +188,33 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     return P1Field(mesh, y), report
 
 
-def solve_adjoint(spec: ProblemSpec, mesh: Mesh, u: P0Field, y: P1Field, *,
-                  operator: SparseSymOperator = None,
-                  linear_tol: float = 1e-12) -> P1Field:
-    """Discrete adjoint state for the current state and control."""
+def solve_adjoint(spec: ProblemSpec, operator: SparseSymOperator,
+                  y: P1Field, *, linear_tol: float = 1e-12) -> P1Field:
+    """Discrete adjoint state at the state ``y``, with the linearized
+    operator there."""
+    mesh = y.mesh
     if spec.objective_dy is None:
         return P1Field.zeros(mesh)
-    if operator is None:
-        operator = linearized_operator(spec, mesh, u, y)
     rhs = fem.assemble_volume_load(mesh, fem.at_points(
         spec.objective_dy, fem.quadrature_points(mesh), y.at_quadrature()))
     return P1Field(mesh, operator.solve_spd(rhs, tol=linear_tol))
 
 
-def solve_linearized(spec: ProblemSpec, mesh: Mesh, u: P0Field, y: P1Field,
-                     v: P0Field, *, operator: SparseSymOperator = None,
+def solve_linearized(operator: SparseSymOperator, y: P1Field, v: P0Field, *,
                      linear_tol: float = 1e-12) -> P1Field:
-    """Derivative of the control-to-state map in direction v (P0)."""
-    if operator is None:
-        operator = linearized_operator(spec, mesh, u, y)
-    rhs = -fem.p0_weighted_p1_load(mesh, v, y)
-    return P1Field(mesh, operator.solve_spd(rhs, tol=linear_tol))
+    """Derivative of the control-to-state map at the state ``y`` in
+    direction v (P0), with the linearized operator there."""
+    rhs = -fem.p0_weighted_p1_load(y.mesh, v, y)
+    return P1Field(y.mesh, operator.solve_spd(rhs, tol=linear_tol))
 
 
-def solve_eta(spec: ProblemSpec, mesh: Mesh, u: P0Field, y: P1Field,
-              phi: P1Field, z: P1Field, v: P0Field, *,
-              operator: SparseSymOperator = None,
-              curvature: np.ndarray = None,
+def solve_eta(operator: SparseSymOperator, phi: P1Field, z: P1Field,
+              v: P0Field, curvature: np.ndarray, *,
               linear_tol: float = 1e-12) -> P1Field:
-    """Second-order auxiliary solve feeding the Hessian representation."""
-    if operator is None:
-        operator = linearized_operator(spec, mesh, u, y)
-    if curvature is None:
-        curvature = second_order_weight(spec, mesh, y, phi)
+    """Second-order auxiliary solve feeding the Hessian representation:
+    ``curvature`` holds the quadrature values of
+    ``d2L/dy2 - phi d2a/dy2`` at the state."""
+    mesh = phi.mesh
     rhs = fem.assemble_volume_load(mesh, curvature * z.at_quadrature())
     rhs -= fem.p0_weighted_p1_load(mesh, v, phi)
     return P1Field(mesh, operator.solve_spd(rhs, tol=linear_tol))

@@ -5,6 +5,9 @@ mesh family (with coarse-to-fine continuation), measures consecutive-level
 L2 differences through exact nested prolongation, and records experimental
 orders of convergence together with the free-boundary diagnostics
 (mixed-element classification and the barycenter-sampled comparison field).
+Each level's control, state and adjoint are prolonged once, to the next
+level; those fields start its continuation and are the coarse side of every
+consecutive-level error.
 
 Nothing here locates a point: the coarse post-processed control reaches the
 fine quadrature points through exact P1 prolongation, and a finer one is
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,26 +102,25 @@ class PostprocessedControl:
         return np.column_stack([at_vertices, at_centers])
 
 
-def postprocess_error_cross(pmap: ProlongationMap,
-                            coarse: PostprocessedControl,
+def postprocess_error_cross(state: P1Field, adjoint: P1Field,
                             fine: PostprocessedControl) -> float:
     """L2 distance of post-processed controls across one refinement level.
 
-    Integrated with the standard volume rule on the finer mesh; the clamp
-    kinks are not split (their set has vanishing measure under the
-    free-boundary assumption, keeping the quadrature error below the
-    measured second-order signal).
+    ``state`` and ``adjoint`` are the coarser level's fields prolonged to
+    ``fine.mesh``; nested P1 prolongation is exact, so they are the coarse
+    fields at the fine quadrature points.  Both sides are clamped with
+    ``fine``'s bounds and nu.  Integrated with the standard
+    volume rule on the finer mesh; the clamp kinks are not split (their set
+    has vanishing measure under the free-boundary assumption, keeping the
+    quadrature error below the measured second-order signal).
     """
-    if coarse.mesh is not pmap.parent or fine.mesh is not pmap.child:
-        raise OcfemError("post-processed fields do not match the map")
     mesh = fine.mesh
+    if state.mesh is not mesh or adjoint.mesh is not mesh:
+        raise OcfemError("coarse fields are not prolonged to the fine mesh")
     fine_vals = fine._from_values(fine.state.at_quadrature(),
                                   fine.adjoint.at_quadrature())
-    # Nested P1 prolongation is exact, so these are the coarse fields at
-    # the fine quadrature points.
-    coarse_vals = coarse._from_values(
-        fem.prolong_p1(pmap, coarse.state).at_quadrature(),
-        fem.prolong_p1(pmap, coarse.adjoint).at_quadrature())
+    coarse_vals = fine._from_values(state.at_quadrature(),
+                                    adjoint.at_quadrature())
     d2 = (fine_vals - coarse_vals) ** 2
     return float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
 
@@ -197,10 +199,11 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
 
     bounds = Bounds(spec.alpha, spec.beta)
     solutions: List[OcpSolution] = []
-    u_init: Optional[P0Field] = None
-    y_init: Optional[P1Field] = None
+    # Each level's control, state and adjoint, prolonged to the next level.
+    prolonged: List[Tuple[P0Field, P1Field, P1Field]] = []
     for idx, mesh in enumerate(meshes):
         level = j_min + idx
+        u_init, y_init, _ = prolonged[-1] if prolonged else (None,) * 3
         try:
             sol = optimizer.solve_ocp(spec, mesh, init=u_init,
                                       state_init=y_init, tol=tol,
@@ -208,19 +211,21 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
                                       linear_tol=linear_tol)
         except (NonconvergenceError, LinearSolverError) as err:
             err.args = (f"study aborted at level {level}: {err}",)
-            err.report = _build_records(spec, bounds, meshes, maps,
-                                        solutions, j_min)
+            err.report = _build_records(spec, bounds, meshes, solutions,
+                                        prolonged, j_min)
             raise
         solutions.append(sol)
         if progress is not None:
             progress(level, sol)
         if idx < len(maps):
-            u_init = fem.prolong_p0(maps[idx], sol.control)
-            y_init = fem.prolong_p1(maps[idx], sol.state)
-    return _build_records(spec, bounds, meshes, maps, solutions, j_min)
+            pmap = maps[idx]
+            prolonged.append((fem.prolong_p0(pmap, sol.control),
+                              fem.prolong_p1(pmap, sol.state),
+                              fem.prolong_p1(pmap, sol.adjoint)))
+    return _build_records(spec, bounds, meshes, solutions, prolonged, j_min)
 
 
-def _build_records(spec, bounds, meshes, maps, solutions, j_min):
+def _build_records(spec, bounds, meshes, solutions, prolonged, j_min):
     rows: List[StudyRecord] = []
     n_pairs = max(len(solutions) - 1, 0)
     if n_pairs:
@@ -230,15 +235,13 @@ def _build_records(spec, bounds, meshes, maps, solutions, j_min):
                                          spec.nu)
     for i in range(n_pairs):
         coarse, fine = solutions[i], solutions[i + 1]
-        pmap = maps[i]
-        e_u = fem.l2_diff_p0_cross(pmap, coarse.control, fine.control)
-        e_y = fem.l2_diff_p1_cross(pmap, coarse.state, fine.state)
-        e_phi = fem.l2_diff_p1_cross(pmap, coarse.adjoint, fine.adjoint)
-        pp_coarse = PostprocessedControl(meshes[i], coarse.state,
-                                         coarse.adjoint, bounds, spec.nu)
+        control, state, adjoint = prolonged[i]
+        e_u = fem.l2_diff_p0(control, fine.control)
+        e_y = fem.l2_diff_p1(state, fine.state)
+        e_phi = fem.l2_diff_p1(adjoint, fine.adjoint)
         pp_fine = PostprocessedControl(meshes[i + 1], fine.state,
                                        fine.adjoint, bounds, spec.nu)
-        e_upost = postprocess_error_cross(pmap, pp_coarse, pp_fine)
+        e_upost = postprocess_error_cross(state, adjoint, pp_fine)
         measure = classify_elements(meshes[i], reference, bounds).measure_t1
         prev = rows[-1] if rows else None
         rows.append(StudyRecord(

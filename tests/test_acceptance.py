@@ -157,7 +157,7 @@ def battery(flagship):
     u = fem.l2_project_p0(
         mesh, lambda x: 0.3 + 0.2 * np.sin(2.0 * np.pi * x[..., 0]) *
         np.cos(np.pi * x[..., 1]))
-    problem = optimizer._LinearizedProblem(flagship, mesh, u)
+    problem = optimizer.Linearization(flagship, mesh, u)
     return mesh, u, problem
 
 
@@ -168,9 +168,7 @@ def _cost_at(flagship, mesh, u_values, state):
 def test_criterion6_gradient_fd(flagship, battery):
     mesh, u, problem = battery
     v = P0Field.constant(mesh, 1.0)
-    grad = optimizer.gradient_field(flagship, mesh, u, state=problem.state,
-                                    adjoint=problem.adjoint)
-    derivative = float(np.sum(mesh.areas * grad.values * v.values))
+    derivative = float(np.sum(mesh.areas * problem.gradient * v.values))
     errs = []
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
         plus = _cost_at(flagship, mesh, u.values + t * v.values,
@@ -187,28 +185,24 @@ def test_criterion6_gradient_fd(flagship, battery):
           f"slopes {['%.3f' % s for s in slopes]} over t = 1e-1..1e-3")
 
 
-def test_criterion6_hessian_symmetry(flagship, battery):
+def test_criterion6_hessian_symmetry(battery):
     mesh, u, problem = battery
     rng = np.random.default_rng(43)
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    h12 = optimizer.hessian_bilinear(flagship, mesh, u, v1, v2,
-                                     problem=problem)
-    h21 = optimizer.hessian_bilinear(flagship, mesh, u, v2, v1,
-                                     problem=problem)
+    h12 = problem.hessian(v1, v2)
+    h21 = problem.hessian(v2, v1)
     gap = abs(h12 - h21) / (1.0 + abs(h12))
     check("c6 Hessian symmetry", gap <= 1e-10, f"relative gap {gap:.3e}")
 
 
-def test_criterion6_hessian_forms_agree(flagship, battery):
+def test_criterion6_hessian_forms_agree(battery):
     mesh, u, problem = battery
     rng = np.random.default_rng(44)
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    hz = optimizer.hessian_bilinear(flagship, mesh, u, v1, v2, form="z",
-                                    problem=problem)
-    he = optimizer.hessian_bilinear(flagship, mesh, u, v1, v2, form="eta",
-                                    problem=problem)
+    hz = problem.hessian(v1, v2, form="z")
+    he = problem.hessian(v1, v2, form="eta")
     gap = abs(hz - he) / (1.0 + abs(hz))
     check("c6 two-solve vs auxiliary-solve Hessian", gap <= 1e-8,
           f"relative gap {gap:.3e}")
@@ -217,7 +211,7 @@ def test_criterion6_hessian_forms_agree(flagship, battery):
 def test_criterion6_second_difference_slope(flagship, battery):
     mesh, u, problem = battery
     v = P0Field.constant(mesh, 3.0)
-    h = optimizer.hessian_bilinear(flagship, mesh, u, v, v, problem=problem)
+    h = problem.hessian(v, v)
     base = optimizer.cost(flagship, mesh, u, state=problem.state)
     steps = (0.3, 0.1, 0.03)
     errs = []
@@ -416,9 +410,8 @@ def test_criterion11_hessian_cauchy_differences(flagship):
         mesh = build_unit_square_mesh(level)
         u = fem.l2_project_p0(mesh, u_profile)
         v = fem.l2_project_p0(mesh, v_profile)
-        problem = optimizer._LinearizedProblem(flagship, mesh, u)
-        values.append(optimizer.hessian_bilinear(flagship, mesh, u, v, v,
-                                                 problem=problem))
+        problem = optimizer.Linearization(flagship, mesh, u)
+        values.append(problem.hessian(v, v))
     diffs = [abs(values[i + 1] - values[i]) for i in range(3)]
     ok = diffs[0] > diffs[1] > diffs[2]
     check("c11 second-derivative Cauchy differences decrease", ok,

@@ -1,5 +1,4 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
-import os
 
 import numpy as np
 import pytest
@@ -159,14 +158,6 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert run_cli(["solve", "--config", str(cfg), "--level", "1"]) == 2
 
 
-def test_thread_cap_env(monkeypatch):
-    from ocfem.cli import _apply_thread_cap
-    monkeypatch.setenv("OCFEM_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 def test_solve_inadmissible_exit_1(capsys):
     code = run_cli(["solve", "--preset", "paper-sec6", "--level", "2",
                     "--alpha", "-3"])
@@ -265,12 +256,12 @@ def _record_linearizations(monkeypatch):
     import ocfem.cli as cli_mod
     seen = []
 
-    class Recording(cli_mod.optimizer._LinearizedProblem):
+    class Recording(cli_mod.optimizer.Linearization):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             seen.append(self)
 
-    monkeypatch.setattr(cli_mod.optimizer, "_LinearizedProblem", Recording)
+    monkeypatch.setattr(cli_mod.optimizer, "Linearization", Recording)
     return seen
 
 
@@ -298,7 +289,7 @@ def test_check_fixture_failure_fails_dependent_items(capsys, monkeypatch):
     def fails(*args, **kwargs):
         raise cli_mod.NonconvergenceError("forced failure")
 
-    monkeypatch.setattr(cli_mod.optimizer, "_LinearizedProblem", fails)
+    monkeypatch.setattr(cli_mod.optimizer, "Linearization", fails)
     assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL")]

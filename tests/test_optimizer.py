@@ -76,8 +76,8 @@ def test_gradient_pure_tikhonov():
     spec = get_preset("tikhonov-only")
     mesh = build_unit_square_mesh(2)
     u = P0Field(mesh, np.linspace(-0.5, 0.5, mesh.num_triangles))
-    grad = optimizer.gradient_field(spec, mesh, u)
-    assert grad.values == pytest.approx(spec.nu * u.values, abs=1e-13)
+    grad = optimizer.Linearization(spec, mesh, u).gradient
+    assert grad == pytest.approx(spec.nu * u.values, abs=1e-13)
 
 
 def test_gradient_matches_central_difference():
@@ -86,11 +86,9 @@ def test_gradient_matches_central_difference():
     rng = np.random.default_rng(23)
     u = P0Field(mesh, rng.uniform(-0.5, 0.5, mesh.num_triangles))
     v = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    state, _ = pde.solve_state(spec, mesh, u)
-    adjoint = pde.solve_adjoint(spec, mesh, u, state)
-    grad = optimizer.gradient_field(spec, mesh, u, state=state,
-                                    adjoint=adjoint)
-    derivative = float(np.sum(mesh.areas * grad.values * v.values))
+    problem = optimizer.Linearization(spec, mesh, u)
+    state = problem.state
+    derivative = float(np.sum(mesh.areas * problem.gradient * v.values))
     t = 1e-4
     plus = optimizer.cost(spec, mesh, P0Field(mesh, u.values + t * v.values),
                           init=state)
@@ -106,7 +104,7 @@ def test_hessian_zero_direction():
     u = P0Field.zeros(mesh)
     v = P0Field.constant(mesh, 1.0)
     zero = P0Field.zeros(mesh)
-    assert optimizer.hessian_bilinear(spec, mesh, u, zero, v) == \
+    assert optimizer.Linearization(spec, mesh, u).hessian(zero, v) == \
         pytest.approx(0.0, abs=1e-14)
 
 
@@ -121,7 +119,8 @@ def test_hessian_reduces_to_tikhonov_for_linear_problem():
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     expected = spec.nu * float(np.sum(mesh.areas * v1.values * v2.values))
     for form in ("z", "eta"):
-        value = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form=form)
+        value = optimizer.Linearization(spec, mesh, u).hessian(v1, v2,
+                                                               form=form)
         assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -129,14 +128,13 @@ def test_hessian_symmetry_and_form_agreement():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
     u = fem.l2_project_p0(mesh, lambda x: 0.3 * np.sin(np.pi * x[..., 0]))
-    problem = optimizer._LinearizedProblem(spec, mesh, u)
+    problem = optimizer.Linearization(spec, mesh, u)
     rng = np.random.default_rng(31)
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    h12 = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, problem=problem)
-    h21 = optimizer.hessian_bilinear(spec, mesh, u, v2, v1, problem=problem)
-    heta = optimizer.hessian_bilinear(spec, mesh, u, v1, v2, form="eta",
-                                      problem=problem)
+    h12 = problem.hessian(v1, v2)
+    h21 = problem.hessian(v2, v1)
+    heta = problem.hessian(v1, v2, form="eta")
     assert abs(h12 - h21) <= 1e-10 * (1.0 + abs(h12))
     assert abs(h12 - heta) <= 1e-8 * (1.0 + abs(h12))
 
@@ -146,8 +144,8 @@ def test_hessian_second_difference():
     mesh = build_unit_square_mesh(3)
     u = fem.l2_project_p0(mesh, lambda x: 0.2 + 0.1 * x[..., 0])
     v = P0Field.constant(mesh, 3.0)
-    problem = optimizer._LinearizedProblem(spec, mesh, u)
-    h = optimizer.hessian_bilinear(spec, mesh, u, v, v, problem=problem)
+    problem = optimizer.Linearization(spec, mesh, u)
+    h = problem.hessian(v, v)
     base = optimizer.cost(spec, mesh, u, state=problem.state)
     t = 0.05
     plus = optimizer.cost(spec, mesh, P0Field(mesh, u.values + t * v.values),
@@ -218,24 +216,22 @@ def test_variational_inequality_by_enumeration():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(0)
     sol = optimizer.solve_ocp(spec, mesh)
-    grad = optimizer.gradient_field(spec, mesh, sol.control,
-                                    state=sol.state, adjoint=sol.adjoint)
+    grad = optimizer.Linearization(spec, mesh, sol.control,
+                                   state_init=sol.state).gradient
     grid = np.linspace(spec.alpha, spec.beta, 2001)
     for t in range(mesh.num_triangles):
-        pairing = grad.values[t] * (grid - sol.control.values[t]) * \
-            mesh.areas[t]
+        pairing = grad[t] * (grid - sol.control.values[t]) * mesh.areas[t]
         assert pairing.min() >= -1e-9
 
     # a non-stationary control violates the inequality for some grid point
     bad = P0Field(mesh, np.array([0.5, -0.5]))
-    y, _ = pde.solve_state(spec, mesh, bad)
-    phi = pde.solve_adjoint(spec, mesh, bad, y)
-    bad_grad = optimizer.gradient_field(spec, mesh, bad, state=y, adjoint=phi)
-    residual = optimizer.kkt_residual(mesh, bad, y, phi,
+    problem = optimizer.Linearization(spec, mesh, bad)
+    residual = optimizer.kkt_residual(mesh, bad, problem.state,
+                                      problem.adjoint,
                                       Bounds(spec.alpha, spec.beta), spec.nu)
     assert residual > 1e-3
-    worst = min(min(bad_grad.values[t] * (grid - bad.values[t]) * mesh.areas[t])
-                for t in range(mesh.num_triangles))
+    worst = min(min(problem.gradient[t] * (grid - bad.values[t]) *
+                    mesh.areas[t]) for t in range(mesh.num_triangles))
     assert worst < -1e-6
 
 
@@ -328,12 +324,12 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
     bounds = Bounds(spec.alpha, spec.beta)
     seen = []
 
-    class Recording(optimizer._LinearizedProblem):
+    class Recording(optimizer.Linearization):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             seen.append(self)
 
-    monkeypatch.setattr(optimizer, "_LinearizedProblem", Recording)
+    monkeypatch.setattr(optimizer, "Linearization", Recording)
     monkeypatch.setattr(optimizer, "_reduced_cg",
                         lambda problem, rhs, *args: np.zeros_like(rhs))
     with pytest.raises(NonconvergenceError):
@@ -355,13 +351,13 @@ def test_solve_ocp_releases_previous_problem_before_next(monkeypatch):
     mesh = build_unit_square_mesh(3)
     built, alive_at_start = [], []
 
-    class Recording(optimizer._LinearizedProblem):
+    class Recording(optimizer.Linearization):
         def __init__(self, *args, **kwargs):
             alive_at_start.append([ref() is not None for ref in built])
             super().__init__(*args, **kwargs)
             built.append(weakref.ref(self))
 
-    monkeypatch.setattr(optimizer, "_LinearizedProblem", Recording)
+    monkeypatch.setattr(optimizer, "Linearization", Recording)
     sol = optimizer.solve_ocp(spec, mesh)
     assert sol.converged
     assert len(built) >= 3

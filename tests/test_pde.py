@@ -11,7 +11,7 @@ from ocfem import (AdmissibilityError, CoercivityError, NonconvergenceError,
                    P0Field, P1Field, ProblemSpec, barycenters,
                    build_unit_square_mesh, get_preset, l2_diff_p1,
                    l2_norm_p1, linf_diff_p1, prolong_p1, refine)
-from ocfem import fem, pde
+from ocfem import fem, optimizer, pde
 
 
 def ones_like(x, y):
@@ -106,7 +106,8 @@ def test_adjoint_self_convergence_second_order():
     for mesh in meshes:
         u = P0Field.zeros(mesh)
         y, _ = pde.solve_state(spec, mesh, u)
-        adjoints.append(pde.solve_adjoint(spec, mesh, u, y))
+        operator = pde.linearized_operator(spec, mesh, u, y)
+        adjoints.append(pde.solve_adjoint(spec, operator, y))
 
     def on_finest(i, field):
         for k in range(i, len(maps)):
@@ -124,7 +125,8 @@ def test_adjoint_zero_when_state_matches_target():
     mesh = build_unit_square_mesh(3)
     u = P0Field.zeros(mesh)
     y, _ = pde.solve_state(spec, mesh, u)
-    phi = pde.solve_adjoint(spec, mesh, u, y)
+    phi = pde.solve_adjoint(spec, pde.linearized_operator(spec, mesh, u, y),
+                            y)
     assert np.max(np.abs(phi.values)) <= 1e-12
 
 
@@ -137,7 +139,8 @@ def test_adjoint_constant_manufactured():
     mesh = build_unit_square_mesh(3)
     u = P0Field.zeros(mesh)
     y, _ = pde.solve_state(spec, mesh, u)
-    phi = pde.solve_adjoint(spec, mesh, u, y)
+    phi = pde.solve_adjoint(spec, pde.linearized_operator(spec, mesh, u, y),
+                            y)
     assert np.max(np.abs(phi.values - 1.0)) <= 1e-12
 
 
@@ -146,7 +149,8 @@ def test_linearized_zero_direction():
     mesh = build_unit_square_mesh(2)
     u = P0Field.zeros(mesh)
     y, _ = pde.solve_state(spec, mesh, u)
-    z = pde.solve_linearized(spec, mesh, u, y, P0Field.zeros(mesh))
+    z = pde.solve_linearized(pde.linearized_operator(spec, mesh, u, y), y,
+                             P0Field.zeros(mesh))
     assert np.max(np.abs(z.values)) == 0.0
 
 
@@ -159,11 +163,10 @@ def test_linearized_superposition():
     rng = np.random.default_rng(17)
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    z1 = pde.solve_linearized(spec, mesh, u, y, v1, operator=operator)
-    z2 = pde.solve_linearized(spec, mesh, u, y, v2, operator=operator)
-    z12 = pde.solve_linearized(spec, mesh, u, y,
-                               P0Field(mesh, v1.values + v2.values),
-                               operator=operator)
+    z1 = pde.solve_linearized(operator, y, v1)
+    z2 = pde.solve_linearized(operator, y, v2)
+    z12 = pde.solve_linearized(operator, y,
+                               P0Field(mesh, v1.values + v2.values))
     gap = l2_diff_p1(z12, P1Field(mesh, z1.values + z2.values))
     assert gap <= 1e-12
 
@@ -174,7 +177,7 @@ def test_linearized_difference_quotient_second_order():
     u = P0Field.constant(mesh, 0.1)
     y, _ = pde.solve_state(spec, mesh, u)
     v = fem.l2_project_p0(mesh, lambda x: np.cos(np.pi * x[..., 0]))
-    z = pde.solve_linearized(spec, mesh, u, y, v)
+    z = pde.solve_linearized(pde.linearized_operator(spec, mesh, u, y), y, v)
     errs = []
     steps = [3e-2, 3e-3]
     for t in steps:
@@ -190,21 +193,22 @@ def test_linearized_difference_quotient_second_order():
 def test_eta_zero_cases():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
-    u = P0Field.zeros(mesh)
-    y, _ = pde.solve_state(spec, mesh, u)
-    phi = pde.solve_adjoint(spec, mesh, u, y)
     zero = P0Field.zeros(mesh)
-    z0 = pde.solve_linearized(spec, mesh, u, y, zero)
-    eta = pde.solve_eta(spec, mesh, u, y, phi, z0, zero)
+    at_zero = optimizer.Linearization(spec, mesh, zero)
+    z0 = pde.solve_linearized(at_zero.operator, at_zero.state, zero)
+    eta = pde.solve_eta(at_zero.operator, at_zero.adjoint, z0, zero,
+                        at_zero.curvature)
     assert np.max(np.abs(eta.values)) == 0.0
 
     # vanishing second derivatives and adjoint: eta = 0 for any direction
     lin = linear_reaction_spec(1.0)
     y1, _ = pde.solve_state(lin, mesh, zero)
+    operator = pde.linearized_operator(lin, mesh, zero, y1)
     phi0 = P1Field.zeros(mesh)
     v = P0Field.constant(mesh, 1.0)
-    z = pde.solve_linearized(lin, mesh, zero, y1, v)
-    eta = pde.solve_eta(lin, mesh, zero, y1, phi0, z, v)
+    z = pde.solve_linearized(operator, y1, v)
+    eta = pde.solve_eta(operator, phi0, z, v,
+                        np.zeros(fem.quadrature_points(mesh).shape[:2]))
     assert np.max(np.abs(eta.values)) <= 1e-14
 
 

@@ -1,5 +1,6 @@
-"""Property tests of the nested mesh hierarchy: samples by index against
-point location, exact prolongation, and the layout ``refine`` fixes.
+"""Property tests of the nested mesh hierarchy (samples by index against
+point location, exact prolongation, and the layout ``refine`` fixes), and
+of the reduced gradient against central differences of the cost.
 
 Every test is derandomized, so each run draws the same examples.
 """
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocfem import (Bounds, Mesh, P0Field, P1Field, PostprocessedControl,
-                   barycenters, build_unit_square_mesh, l2_diff_p0,
-                   l2_norm_p1, prolong_p0, prolong_p1, refine)
+from ocfem import (Bounds, Linearization, Mesh, P0Field, P1Field,
+                   PostprocessedControl, barycenters, build_unit_square_mesh,
+                   cost, get_preset, l2_diff_p0, l2_norm_p1, prolong_p0,
+                   prolong_p1, refine)
 from ocfem.mesh import barycentric_coordinates, locate
 
 EPS = np.finfo(float).eps
@@ -89,3 +91,20 @@ def test_refine_keeps_vertices_and_middle_barycenters(level, seed, jitter):
     assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
     middle = barycenters(child)[3::4]
     assert np.max(np.abs(middle - barycenters(mesh))) <= 4.0 * EPS
+
+
+@deterministic
+@given(level=st.integers(1, 3), seed=seeds)
+def test_gradient_matches_central_differences(level, seed):
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(level)
+    rng = np.random.default_rng(seed)
+    u = P0Field(mesh, rng.uniform(spec.alpha, spec.beta, mesh.num_triangles))
+    v = rng.standard_normal(mesh.num_triangles)
+    problem = Linearization(spec, mesh, u)
+    derivative = float(np.sum(mesh.areas * problem.gradient * v))
+    t = 1e-4
+    plus, minus = (cost(spec, mesh, P0Field(mesh, u.values + step * v),
+                        init=problem.state) for step in (t, -t))
+    fd = (plus - minus) / (2.0 * t)
+    assert abs(derivative - fd) <= 1e-5 * (1.0 + abs(derivative))

@@ -59,8 +59,9 @@ def test_postprocess_cross_error_on_constants():
     pp_fine = PostprocessedControl(
         child, P1Field(child, np.ones(child.num_vertices)),
         P1Field(child, np.full(child.num_vertices, 0.75)), bounds, nu)
-    assert postprocess_error_cross(pmap, pp_coarse, pp_fine) == \
-        pytest.approx(0.5, abs=1e-13)
+    assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
+                                   fem.prolong_p1(pmap, pp_coarse.adjoint),
+                                   pp_fine) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_classify_all_active_and_all_inactive():
@@ -335,7 +336,9 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
                              pp_fine.adjoint.at_quadrature() / nu)
     d2 = (fine_vals - coarse_vals) ** 2
     expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
-    assert postprocess_error_cross(pmap, pp_coarse, pp_fine) == \
+    assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
+                                   fem.prolong_p1(pmap, pp_coarse.adjoint),
+                                   pp_fine) == \
         pytest.approx(expected, rel=1e-13)
 
 
