@@ -10,7 +10,8 @@ class MeshError(OcfemError):
 
 
 class MeshSizeError(MeshError):
-    """Requested refinement level would overflow the vertex index type."""
+    """Requested refinement level would overflow the vertex index type, or
+    (``ocfem`` command) its run would not fit in memory."""
 
 
 class LinearSolverError(OcfemError):

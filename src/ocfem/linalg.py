@@ -7,25 +7,31 @@ the vertex numbering, then SuperLU in symmetric mode orders by minimum
 degree on A^T + A and takes diagonal pivots only.  No pivoting is safe for
 SPD matrices; a nonpositive diagonal entry (here an inadmissible reaction
 coefficient) raises CoercivityError before the first solve of an operator.
-Iterative refinement ``x += F^-1 (b - A x)`` (Higham, 2002, ch. 12) takes
-at most five steps, each of which must lower the true residual.  A
-solution is accepted when its relative residual meets the tolerance, or at
-the first step that reaches the working-precision floor: a componentwise
-backward error ``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero)
-of at most ``(m + 1) eps/2``, m the most nonzeros in a row: the rounding
-error of computing the residual itself (the term of LAPACK xGERFS's error
-bound).
+With the operator's own factor F, iterative refinement
+``x += F^-1 (b - A x)`` (Higham, 2002, ch. 12) takes at most five steps,
+each of which must lower the true residual.  A solution is accepted when
+its relative residual meets the tolerance, or at the first step that
+reaches the working-precision floor: a componentwise backward error
+``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at most
+``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error of
+computing the residual itself (the term of LAPACK xGERFS's error bound).
 
 Operators built along one chain of nearby operators (a Newton iteration,
 an outer optimization loop) may share a ``FactorSlot``.  An operator that
-has no factor of its own first refines with the slot's factor F, the
-factor of an earlier operator of the chain; refinement converges whenever
-``||I - F^-1 A|| < 1`` and the solution must pass the same acceptance test
-against this operator's own matrix.  That attempt also stops once the
-observed contraction cannot reach the tolerance in the steps left.  If it
-is not accepted, the operator is factored, and its factor replaces the
-slot's.  A solve with the operator's own factor that is not accepted
-raises LinearSolverError with the residual history.
+has no factor of its own first solves by conjugate gradients
+preconditioned by the slot's factor F (Saad, 2003, sec. 9.2), the factor
+of an earlier operator of the chain.  F is symmetric positive definite
+(the factor of an SPD operator with diagonal pivots), so this converges
+for any SPD operator, and fast when the spectrum of F^-1 A is clustered;
+stationary refinement with F diverges once an eigenvalue of F^-1 A
+exceeds 2.  Each iterate is checked on the true residual ``b - A x`` by
+the same acceptance test, within the same step budget, and the attempt
+stops when a step does not lower the residual or the observed
+contraction cannot reach the tolerance in the steps left.  If it is not
+accepted, the operator is factored, its factor replaces the slot's, and
+the operator solves by refinement with its own factor.  A solve with the
+operator's own factor that is not accepted raises LinearSolverError with
+the residual history.
 """
 from __future__ import annotations
 
@@ -121,14 +127,30 @@ class SparseSymOperator:
         return float(np.max(np.divide(np.abs(r), scale, out=np.zeros(self.n),
                                       where=scale > 0.0)))
 
-    def _refine(self, lu, b, norm_b, tol, shared=False):
-        """Solve with factor ``lu`` and refine (see the module docstring).
-        A solution that is not accepted is None with a shared factor and
-        raises LinearSolverError with the operator's own."""
-        x = lu.solve(b)
-        r = b - self.matrix @ x
-        history = [float(np.linalg.norm(r)) / norm_b]
-        while history[-1] > tol:
+    def _solve_with(self, lu, b, norm_b, tol, shared=False):
+        """Solve with factor ``lu``: iterative refinement with the
+        operator's own factor, conjugate gradients preconditioned by a
+        shared one (see the module docstring).  A solution that is not
+        accepted is None with a shared factor and raises LinearSolverError
+        with the operator's own."""
+        x = p = None
+        r, history = b, []
+        while True:
+            step = lu.solve(r)
+            if shared:  # the next conjugate direction and its exact step
+                rz = float(r @ step)
+                if p is not None:
+                    step += rz / rz_prev * p
+                p, rz_prev = step, rz
+                step = rz / float(p @ (self.matrix @ p)) * p
+            x = step if x is None else x + step
+            r = b - self.matrix @ x
+            res = float(np.linalg.norm(r)) / norm_b
+            if history and not res < history[-1]:
+                break
+            history.append(res)
+            if res <= tol:
+                return x
             omega = self._backward_error(x, r, b)
             if omega <= self._floor:
                 return x
@@ -139,15 +161,6 @@ class SparseSymOperator:
                 rho = history[-1] / history[-2]
                 if history[-1] * rho ** steps_left > tol:
                     break
-            x_new = x + lu.solve(r)
-            r_new = b - self.matrix @ x_new
-            res = float(np.linalg.norm(r_new)) / norm_b
-            if not res < history[-1]:
-                break
-            x, r = x_new, r_new
-            history.append(res)
-        else:
-            return x
         if shared:
             return None
         raise LinearSolverError(
@@ -175,11 +188,12 @@ class SparseSymOperator:
                         "reaction coefficient is inadmissible")
                 self._diagonal_checked = True
             if self.slot is not None and self.slot.factor is not None:
-                x = self._refine(self.slot.factor, b, norm_b, tol, shared=True)
+                x = self._solve_with(self.slot.factor, b, norm_b, tol,
+                                     shared=True)
                 if x is not None:
                     return x
                 self.slot.factor = None
             self._factorization = self._factor()
             if self.slot is not None:
                 self.slot.factor = self._factorization
-        return self._refine(self._factorization, b, norm_b, tol)
+        return self._solve_with(self._factorization, b, norm_b, tol)

@@ -6,9 +6,20 @@ and second-order solves take that operator as an argument: it is built once
 per state (``optimizer.Linearization`` does so) and never reassembled by a
 solve.  Consecutive operators differ only in that weight, so the operators
 of one chain (the Newton steps of a state solve, or every operator of an
-outer optimization) share a ``FactorSlot``: an operator first refines with
-the chain's latest factor and is factored only when that solution is not
-accepted (see ``ocfem.linalg``).
+outer optimization) share a ``FactorSlot``: an operator first solves by
+conjugate gradients preconditioned by the chain's latest factor and is
+factored only when that solution is not accepted (see ``ocfem.linalg``).
+
+The state solve is an inexact Newton method (Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 1982): step k solves its tangent system only to
+the relative residual ``max(linear_tol, min(0.1, ||F_k|| / scale))``,
+with ``scale = 1 + ||boundary load||`` as in the stopping rule.  The
+forcing term is absolute, not relative to ``||F_0||``: with a relative
+one, warm-started solves (small ``||F_0||``) converge only linearly and
+stop just under the tolerance, while the absolute one keeps the quadratic
+overshoot of Newton's last step.  Early steps then cost a few
+preconditioned iterations with an earlier factor instead of a
+factorization.
 """
 from __future__ import annotations
 
@@ -130,9 +141,12 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     """Damped Newton solve of the discrete semilinear state equation.
 
     Returns ``(P1Field, SolveReport)``.  The residual is driven below
-    ``tol * (1 + ||boundary load||)``; the Newton direction uses the exact
-    tangent (stiffness plus reaction mass with weight da/dy + u).  The
-    tangents share ``slot``, or a slot of this call's own if it is None.
+    ``tol * scale``, ``scale = 1 + ||boundary load||``; the Newton
+    direction uses the exact tangent (stiffness plus reaction mass with
+    weight da/dy + u), solved to the forcing term
+    ``max(linear_tol, min(0.1, ||F_k|| / scale))`` at the residual F_k:
+    ``linear_tol`` is its floor.  The tangents share ``slot``, or a slot of
+    this call's own if it is None.
     """
     if check_admissible:
         spec.check_control(mesh, u)
@@ -165,7 +179,8 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 f"iterations (residual {norm_f:.3e})", report=report)
         operator = linearized_operator(spec, mesh, u, P1Field(mesh, y),
                                        stiffness=stiffness, slot=slot)
-        delta = operator.solve_spd(-f, tol=linear_tol)
+        delta = operator.solve_spd(
+            -f, tol=max(linear_tol, min(0.1, norm_f / scale)))
         step = 1.0
         for _ in range(30):
             y_trial = y + step * delta

@@ -335,3 +335,87 @@ def test_config_tolerance_keys_exit_2(line, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     key = line.partition("=")[0]
     assert err == [f"error: unknown config key {key!r}"]
+
+
+def _forbid_meshes(monkeypatch):
+    import ocfem.cli as cli_mod
+    import ocfem.study as study_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    for module in (cli_mod, study_mod):
+        monkeypatch.setattr(module, "build_unit_square_mesh", forbidden)
+    monkeypatch.setattr(study_mod, "refine", forbidden)
+
+
+@pytest.mark.parametrize("args, level", [
+    (["study", "--preset", "paper-sec6", "--levels", "3..15"], 15),
+    (["solve", "--level", "13"], 13),
+    (["check", "--level", "11"], 11),
+])
+def test_memory_guard_refuses_before_any_mesh(args, level, capsys,
+                                              monkeypatch):
+    import ocfem.cli as cli_mod
+    # 8 GiB available: levels 11 and up are estimated at 14.6 GiB or more.
+    monkeypatch.setattr(cli_mod, "_memory_limit", lambda: 8.0 * 2 ** 30)
+    _forbid_meshes(monkeypatch)
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: level {level} needs an estimated ")
+    assert line.endswith(" GiB, more than the 8 GiB available")
+
+
+def test_memory_guard_reads_the_limit(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+    # Level 2 is estimated at 57 KiB: refused under 32 KiB, run under 1 MiB.
+    monkeypatch.setattr(cli_mod, "_memory_limit", lambda: 32.0 * 2 ** 10)
+    assert run_cli(["solve", "--preset", "manufactured-constant",
+                    "--level", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: level 2 needs")
+    monkeypatch.setattr(cli_mod, "_memory_limit", lambda: 2.0 ** 20)
+    assert run_cli(["solve", "--preset", "manufactured-constant",
+                    "--level", "2"]) == 0
+
+
+class _FakeMeminfo:
+    def __init__(self, available_kib):
+        self.lines = ["MemTotal:       16000000 kB\n",
+                      f"MemAvailable:   {available_kib} kB\n"]
+
+    def __enter__(self):
+        return iter(self.lines)
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("soft, available_kib, expected", [
+    (-1, 4096, 4096 * 1024.0),                 # no address-space limit
+    (2 ** 20, 4096, 2.0 ** 20),                # the soft limit is smaller
+    (2 ** 30, 4096, 4096 * 1024.0),            # MemAvailable is smaller
+])
+def test_memory_limit_is_the_smaller_reading(soft, available_kib, expected,
+                                             monkeypatch):
+    import ocfem.cli as cli_mod
+    soft = cli_mod.resource.RLIM_INFINITY if soft == -1 else soft
+    monkeypatch.setattr(cli_mod.resource, "getrlimit",
+                        lambda which: (soft, cli_mod.resource.RLIM_INFINITY))
+    monkeypatch.setattr(cli_mod, "open",
+                        lambda path: _FakeMeminfo(available_kib),
+                        raising=False)
+    assert cli_mod._memory_limit() == expected
+
+
+def test_memory_limit_without_meminfo(monkeypatch):
+    import ocfem.cli as cli_mod
+
+    def missing(path):
+        raise OSError("no such file")
+
+    monkeypatch.setattr(cli_mod.resource, "getrlimit",
+                        lambda which: (2 ** 30, 2 ** 31))
+    monkeypatch.setattr(cli_mod, "open", missing, raising=False)
+    assert cli_mod._memory_limit() == 2.0 ** 30

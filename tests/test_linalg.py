@@ -202,12 +202,9 @@ def test_nearby_operator_solves_with_slot_factor(monkeypatch):
                               abs=1e-11)
 
 
-def test_far_operator_falls_back_to_own_factor():
-    # The factor of A contracts the residual of A / 3 by only 2/3 per step,
-    # so the first step shows that the budget cannot reach tol.
-    slot, op, dense = chain_with_factor(5)
-    shared = slot.factor
-    solves = []
+def counting(slot):
+    """Replace the slot's factor by one that records each right-hand side."""
+    shared, solves = slot.factor, []
 
     class Counting:
         def solve(self, b):
@@ -215,14 +212,52 @@ def test_far_operator_falls_back_to_own_factor():
             return shared.solve(b)
 
     slot.factor = Counting()
-    far = SparseSymOperator(sp.csr_matrix(dense / 3.0), slot=slot)
+    return shared, solves
+
+
+def test_slot_factor_where_refinement_diverges_solves_by_pcg(monkeypatch):
+    # F^-1 B has its spectrum in [2.5001, 2.5008] for the factor F of A:
+    # stationary refinement multiplies the residual by about -1.5 per step,
+    # while conjugate gradients preconditioned by F meet 1e-12 in 3 solves.
+    slot, op, dense = chain_with_factor(5)
+    shifted = 2.5 * dense + 1e-3 * np.eye(50)
+    b = np.random.default_rng(6).standard_normal(50)
+    x, residuals = np.zeros(50), []
+    for _ in range(3):
+        x = x + slot.factor.solve(b - shifted @ x)
+        residuals.append(np.linalg.norm(b - shifted @ x))
+    assert residuals[0] > 1.4 * np.linalg.norm(b)
+    assert residuals[2] > 1.4 * residuals[1] > 1.4 ** 2 * residuals[0]
+
+    shared, solves = counting(slot)
+    near = SparseSymOperator(sp.csr_matrix(shifted), slot=slot)
+    monkeypatch.setattr(SparseSymOperator, "_factor",
+                        lambda self: pytest.fail("nearby operator factored"))
+    x = near.solve_spd(b, tol=1e-12)
+    assert len(solves) <= 3
+    assert near._factorization is None
+    assert np.linalg.norm(near.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert x == pytest.approx(np.linalg.solve(shifted, b), rel=1e-9,
+                              abs=1e-11)
+
+
+def test_far_operator_falls_back_to_own_factor():
+    # A plus a diagonal spanning four orders of magnitude: the residual of
+    # conjugate gradients preconditioned by A's factor reads 1.10 after the
+    # first solve and 1.12 after the second, so the shared attempt stops
+    # there for want of a decrease.
+    slot, op, dense = chain_with_factor(5)
+    shared, solves = counting(slot)
+    far_matrix = dense + np.diag(
+        10.0 ** np.random.default_rng(7).uniform(0.0, 4.0, 50))
+    far = SparseSymOperator(sp.csr_matrix(far_matrix), slot=slot)
     b = np.random.default_rng(6).standard_normal(50)
     x = far.solve_spd(b, tol=1e-12)
     assert len(solves) == 2
     assert far._factorization is not None
     assert slot.factor is far._factorization
     assert np.linalg.norm(far.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
-    assert x == pytest.approx(np.linalg.solve(dense / 3.0, b), rel=1e-9,
+    assert x == pytest.approx(np.linalg.solve(far_matrix, b), rel=1e-9,
                               abs=1e-11)
 
 

@@ -1,6 +1,7 @@
 """Property tests of the nested mesh hierarchy (samples by index against
-point location, exact prolongation, and the layout ``refine`` fixes), and
-of the reduced gradient against central differences of the cost.
+point location, exact prolongation, cross-level norms, and the layout
+``refine`` fixes), of the P1 mass matrix against its closed form, and of
+the reduced gradient against central differences of the cost.
 
 Every test is derandomized, so each run draws the same examples.
 """
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocfem import (Bounds, Linearization, Mesh, P0Field, P1Field,
-                   PostprocessedControl, barycenters, build_unit_square_mesh,
-                   cost, get_preset, l2_diff_p0, l2_norm_p1, prolong_p0,
-                   prolong_p1, refine)
+                   PostprocessedControl, assemble_weighted_mass, barycenters,
+                   build_unit_square_mesh, cost, get_preset, l2_diff_p0,
+                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
+                   l2_norm_p1, prolong_p0, prolong_p1, refine)
 from ocfem.mesh import barycentric_coordinates, locate
 
 EPS = np.finfo(float).eps
@@ -76,17 +78,65 @@ def test_prolongation_keeps_the_l2_norm(hierarchy, level, seed, scale):
 
 
 @deterministic
-@given(level=st.integers(0, 5), seed=seeds, jitter=st.floats(0.0, 0.125))
-def test_refine_keeps_vertices_and_middle_barycenters(level, seed, jitter):
+@given(level=st.integers(0, 4), seed=seeds, scale=st.floats(1e-6, 1e6))
+def test_cross_level_norms_equal_same_level_norms(hierarchy, level, seed,
+                                                  scale):
+    # The P1 and P0 spaces are nested, so the distance between a coarse
+    # field and the prolongation of another is their same-level distance.
+    meshes, maps = hierarchy
+    mesh, pmap = meshes[level], maps[level]
+    rng = np.random.default_rng(seed)
+    a, b = scale * rng.uniform(-1.0, 1.0, (2, mesh.num_vertices))
+    assert l2_diff_p1_cross(pmap, P1Field(mesh, a),
+                            prolong_p1(pmap, P1Field(mesh, b))) == \
+        pytest.approx(l2_diff_p1(P1Field(mesh, a), P1Field(mesh, b)),
+                      rel=1e-12)
+    a, b = scale * rng.uniform(-1.0, 1.0, (2, mesh.num_triangles))
+    assert l2_diff_p0_cross(pmap, P0Field(mesh, a),
+                            prolong_p0(pmap, P0Field(mesh, b))) == \
+        pytest.approx(l2_diff_p0(P0Field(mesh, a), P0Field(mesh, b)),
+                      rel=1e-12)
+
+
+def jittered_mesh(level, seed, jitter):
+    """The level's mesh with its interior vertices moved by up to
+    ``jitter`` cells: still valid, but no longer structured."""
     mesh = build_unit_square_mesh(level)
-    # Move the interior vertices by up to an eighth of a cell: the mesh
-    # stays valid, and the layout must not depend on its structure.
     n = 1 << level
     interior = np.all((mesh.vertices > 0.0) & (mesh.vertices < 1.0), axis=1)
     moved = mesh.vertices.copy()
     moved[interior] += jitter / n * np.random.default_rng(seed).uniform(
         -1.0, 1.0, (int(interior.sum()), 2))
-    mesh = Mesh(moved, mesh.triangles, mesh.boundary_edges, level)
+    return Mesh(moved, mesh.triangles, mesh.boundary_edges, level)
+
+
+@deterministic
+@given(level=st.integers(0, 4), seed=seeds, jitter=st.floats(0.0, 0.125),
+       weight=st.floats(1e-3, 1e3))
+def test_p1_mass_matches_closed_form(level, seed, jitter, weight):
+    # int lambda_i lambda_j over a triangle T is |T|/12 (1 + delta_ij).
+    mesh = jittered_mesh(level, seed, jitter)
+    tri = mesh.triangles
+    e1, e2 = (mesh.vertices[tri[:, k]] - mesh.vertices[tri[:, 0]]
+              for k in (1, 2))
+    area = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
+    exact = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    for i in range(3):
+        for j in range(3):
+            np.add.at(exact, (tri[:, i], tri[:, j]), area * local[i, j])
+    assert np.max(np.abs(assemble_weighted_mass(mesh).to_dense() - exact)) \
+        <= 4.0 * EPS * np.abs(exact).max()
+    assert np.max(np.abs(assemble_weighted_mass(mesh, weight).to_dense()
+                         - weight * exact)) \
+        <= 8.0 * EPS * weight * np.abs(exact).max()
+
+
+@deterministic
+@given(level=st.integers(0, 5), seed=seeds, jitter=st.floats(0.0, 0.125))
+def test_refine_keeps_vertices_and_middle_barycenters(level, seed, jitter):
+    # The layout must not depend on the structure of the mesh.
+    mesh = jittered_mesh(level, seed, jitter)
     child, _ = refine(mesh)
     assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
     middle = barycenters(child)[3::4]
