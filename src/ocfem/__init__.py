@@ -11,8 +11,7 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
                   assemble_volume_load, assemble_weighted_mass,
                   elementwise_p1_product_mean, integrate, l2_diff_p0,
                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
-                  l2_norm_p1, l2_project_p0, linf_diff_p1, prolong_p0,
-                  prolong_p1)
+                  l2_project_p0, linf_diff_p1, prolong_p0, prolong_p1)
 from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, refine)

@@ -7,8 +7,12 @@ Element conventions
 * Integrals over a triangle use a symmetric quadrature rule stated in
   barycentric coordinates with weights summing to one, so that
   ``int_T f ~= |T| * sum_q w_q f(x_q)``.
-* Products of two P1 factors (mass terms, elementwise means of y*phi) are
-  integrated with the closed-form identity
+* Integrands of ``assemble_volume_load``, ``integrate`` and the weighted
+  mass are quadrature values, shape (nt, nq), and nothing else;
+  ``at_points`` is the one way from a coefficient callable to such values,
+  and ``l2_project_p0`` takes a callable and evaluates it through it.
+* Products of two P1 factors (elementwise means of y*phi, norms, the mass
+  action on a P0 weight) are integrated with the closed-form identity
   ``int_T y z = |T|/12 * (sum_i y_i z_i + (sum_i y_i)(sum_i z_i))``,
   which is exact.
 """
@@ -80,10 +84,6 @@ class P1Field:
     def zeros(cls, mesh: Mesh) -> "P1Field":
         return cls(mesh, np.zeros(mesh.num_vertices))
 
-    @classmethod
-    def from_function(cls, mesh: Mesh, f) -> "P1Field":
-        return cls(mesh, np.asarray(f(mesh.vertices), dtype=float))
-
     def at_quadrature(self) -> np.ndarray:
         """Values at all quadrature points, shape (nt, nq)."""
         return self.values[self.mesh.triangles] @ TRIANGLE_RULE.points.T
@@ -154,19 +154,12 @@ def at_points(fn, points: np.ndarray, y=None) -> np.ndarray:
                            (len(flat),)).reshape(shape)
 
 
-def _as_quad_values(mesh, source):
-    """Coerce a pointwise evaluator / field / array to values (nt, nq)."""
-    nt, nq = mesh.num_triangles, len(TRIANGLE_RULE.weights)
-    if isinstance(source, P1Field):
-        return source.at_quadrature()
-    if isinstance(source, P0Field):
-        return np.broadcast_to(source.values[:, None], (nt, nq))
-    if callable(source):
-        return at_points(source, quadrature_points(mesh))
-    vals = np.asarray(source, dtype=float)
-    if vals.shape != (nt, nq):
-        raise OcfemError(f"expected quadrature values of shape {(nt, nq)}")
-    return vals
+def _quad_values(mesh, vals) -> np.ndarray:
+    """``vals`` as an array, if it has the quadrature shape (nt, nq)."""
+    shape = (mesh.num_triangles, len(TRIANGLE_RULE.weights))
+    if np.shape(vals) != shape:
+        raise OcfemError(f"expected quadrature values of shape {shape}")
+    return np.asarray(vals, dtype=float)
 
 
 def _scatter_nodal(mesh: Mesh, contributions: np.ndarray) -> np.ndarray:
@@ -206,30 +199,17 @@ def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
     return _operator_from_local(mesh, local)
 
 
-def assemble_weighted_mass(mesh: Mesh, weight=None) -> SparseSymOperator:
-    """Mass operator of ``int w y z`` for a bounded weight.
-
-    ``weight`` may be None (w = 1), a scalar, a P0Field (exact per-element
-    constants), a pointwise evaluator, or precomputed quadrature values of
-    shape (nt, nq).
-    """
+def assemble_weighted_mass(mesh: Mesh, weight) -> SparseSymOperator:
+    """Mass operator of ``int w y z`` for the weight's quadrature values
+    ``weight`` (nt, nq)."""
     return _operator_from_local(mesh, _weighted_mass_local(mesh, weight))
 
 
 def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
     """Local (nt, 3, 3) mass matrices of ``int w y z``."""
-    nt = mesh.num_triangles
-    if weight is None or np.isscalar(weight) or isinstance(weight, P0Field):
-        w = (np.ones(nt) if weight is None else
-             np.full(nt, float(weight)) if np.isscalar(weight) else
-             weight.values)
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        local = (w * mesh.areas)[:, None, None] * base
-    else:
-        vals = _as_quad_values(mesh, weight)
-        wq = vals * TRIANGLE_RULE.weights             # (nt, nq)
-        local = (wq @ _LAMBDA_PRODUCTS).reshape(nt, 3, 3)
-        local *= mesh.areas[:, None, None]
+    wq = _quad_values(mesh, weight) * TRIANGLE_RULE.weights     # (nt, nq)
+    local = (wq @ _LAMBDA_PRODUCTS).reshape(mesh.num_triangles, 3, 3)
+    local *= mesh.areas[:, None, None]
     return local
 
 
@@ -283,9 +263,10 @@ def add_weighted_mass(mesh: Mesh, a: SparseSymOperator, weight,
 
 
 def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
-    """Load vector with entries ``int_Omega f phi_i`` by quadrature."""
-    vals = _as_quad_values(mesh, f)
-    contrib = (vals * TRIANGLE_RULE.weights) @ TRIANGLE_RULE.points  # (nt, 3)
+    """Load vector with entries ``int_Omega f phi_i`` by quadrature, for
+    the quadrature values ``f`` (nt, nq)."""
+    contrib = ((_quad_values(mesh, f) * TRIANGLE_RULE.weights)
+               @ TRIANGLE_RULE.points)                           # (nt, 3)
     contrib *= mesh.areas[:, None]
     return _scatter_nodal(mesh, contrib)
 
@@ -327,24 +308,18 @@ def elementwise_p1_product_mean(mesh: Mesh, a: P1Field, b: P1Field) -> np.ndarra
     return (np.sum(av * bv, axis=1) + av.sum(axis=1) * bv.sum(axis=1)) / 12.0
 
 
-def l2_project_p0(mesh: Mesh, source) -> P0Field:
-    """L2-orthogonal projection onto elementwise constants.
-
-    The element value is the elementwise mean of the source: exact for P0
-    and P1 inputs, quadrature-evaluated for pointwise evaluators.
-    """
-    if isinstance(source, P0Field):
-        return P0Field(mesh, source.values.copy())
-    if isinstance(source, P1Field):
-        return P0Field(mesh, source.values[mesh.triangles].mean(axis=1))
-    vals = _as_quad_values(mesh, source)
+def l2_project_p0(mesh: Mesh, fn) -> P0Field:
+    """L2-orthogonal projection of the coefficient ``fn(x)`` onto
+    elementwise constants: its quadrature mean on each element."""
+    vals = at_points(fn, quadrature_points(mesh))
     return P0Field(mesh, vals @ TRIANGLE_RULE.weights)
 
 
-def integrate(mesh: Mesh, source) -> float:
-    """Quadrature value of ``int_Omega source``."""
-    vals = _as_quad_values(mesh, source)
-    return float(mesh.areas @ (vals @ TRIANGLE_RULE.weights))
+def integrate(mesh: Mesh, vals) -> float:
+    """Quadrature value of ``int_Omega f`` for the quadrature values
+    ``vals`` (nt, nq) of f."""
+    return float(mesh.areas @ (_quad_values(mesh, vals)
+                               @ TRIANGLE_RULE.weights))
 
 
 def l2_diff_p0(a: P0Field, b: P0Field) -> float:
@@ -360,10 +335,6 @@ def l2_diff_p1(a: P1Field, b: P1Field) -> float:
     d = (a.values - b.values)[a.mesh.triangles]
     per_t = np.sum(d * d, axis=1) + d.sum(axis=1) ** 2
     return float(np.sqrt(np.sum(a.mesh.areas / 12.0 * per_t)))
-
-
-def l2_norm_p1(field: P1Field) -> float:
-    return l2_diff_p1(field, P1Field.zeros(field.mesh))
 
 
 def linf_diff_p1(a: P1Field, b: P1Field) -> float:

@@ -137,7 +137,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 init: P1Field = None, *, tol: float = 1e-11,
                 max_iterations: int = 50, linear_tol: float = 1e-12,
                 stiffness: SparseSymOperator = None,
-                check_admissible: bool = True, slot: FactorSlot = None):
+                slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
     Returns ``(P1Field, SolveReport)``.  The residual is driven below
@@ -148,8 +148,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     ``linear_tol`` is its floor.  The tangents share ``slot``, or a slot of
     this call's own if it is None.
     """
-    if check_admissible:
-        spec.check_control(mesh, u)
+    spec.check_control(mesh, u)
     if stiffness is None:
         stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     if slot is None:

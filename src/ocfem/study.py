@@ -142,19 +142,18 @@ class Classification:
 
 
 def classify_elements(mesh: Mesh, control: PostprocessedControl,
-                      bounds: Bounds,
-                      tol_active: Optional[float] = None) -> Classification:
+                      bounds: Bounds) -> Classification:
     """Split elements into mixed (active and inactive samples) and pure.
 
     Samples each element at its vertices and barycenter by index
     (``control.samples_on``), so ``control`` lives on ``mesh`` or a
-    refinement of it.
+    refinement of it.  A sample is active within ``1e-6 (beta - alpha)`` of
+    a bound, or ``1e-6 max(1, |alpha|)`` if beta is infinite.
     """
-    if tol_active is None:
-        if math.isfinite(bounds.beta):
-            tol_active = 1e-6 * (bounds.beta - bounds.alpha)
-        else:
-            tol_active = 1e-6 * max(1.0, abs(bounds.alpha))
+    if math.isfinite(bounds.beta):
+        tol_active = 1e-6 * (bounds.beta - bounds.alpha)
+    else:
+        tol_active = 1e-6 * max(1.0, abs(bounds.alpha))
     vals = control.samples_on(mesh)
     active = (np.abs(vals - bounds.alpha) <= tol_active) | \
         (np.abs(vals - bounds.beta) <= tol_active)

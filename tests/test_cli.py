@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ocfem.cli import main, parse_levels
+from ocfem.cli import RunConfig, main, parse_levels
 
 
 def run_cli(args):
@@ -419,3 +422,52 @@ def test_memory_limit_without_meminfo(monkeypatch):
                         lambda which: (2 ** 30, 2 ** 31))
     monkeypatch.setattr(cli_mod, "open", missing, raising=False)
     assert cli_mod._memory_limit() == 2.0 ** 30
+
+
+# Config-file fuzzing. The commands themselves are stubbed to return 0 and
+# the memory reading is fixed at 8 GiB, so only parsing, validation and the
+# memory guard run: no mesh is built, and the outcome does not depend on the
+# machine.
+_FUZZ_KEYS = [field.name for field in dataclasses.fields(RunConfig)]
+_fuzz_values = st.one_of(
+    st.text(), st.integers(-3, 70).map(str), st.floats().map(repr),
+    st.sampled_from(["paper-sec6", "manufactured-constant", "3..8", "2..15",
+                     "8..3", "inf", "-inf", "nan", "true", "no", ""]))
+_odd_lines = st.one_of(
+    st.tuples(st.text(), st.text()).map("=".join),   # mostly unknown keys
+    st.text().filter(lambda line: "=" not in line),  # no '='
+)
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def _config_bytes(draw):
+    lines = [f"{key}={value}" for key, value in draw(st.lists(
+        st.tuples(st.sampled_from(_FUZZ_KEYS), _fuzz_values), max_size=6))]
+    if draw(st.integers(0, 2)) == 0:
+        lines.append(draw(_odd_lines))
+    data = "\n".join(draw(st.permutations(lines))).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["solve", "study", "check"]),
+       data=_config_bytes())
+def test_config_file_fuzzing_ends_in_exit_0_or_2(command, data, tmp_path,
+                                                 capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+    for name in ("cmd_solve", "cmd_study", "cmd_check"):
+        monkeypatch.setattr(cli_mod, name, lambda cfg, spec: 0)
+    monkeypatch.setattr(cli_mod, "_memory_limit", lambda: 8.0 * 2 ** 30)
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    code = run_cli([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 2)
+    assert len(errors) == (code == 2), captured.err

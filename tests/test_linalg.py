@@ -5,9 +5,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
-                   build_unit_square_mesh, assemble_volume_load,
-                   assemble_weighted_mass, assemble_stiffness, refine)
+                   TRIANGLE_RULE, build_unit_square_mesh,
+                   assemble_volume_load, assemble_weighted_mass,
+                   assemble_stiffness, fem, refine)
 from ocfem.linalg import FactorSlot
+
+
+def constant_mass(mesh, weight):
+    """Mass operator of a constant weight, from its quadrature values."""
+    return assemble_weighted_mass(mesh, np.full(
+        (mesh.num_triangles, len(TRIANGLE_RULE.weights)), weight))
 
 
 def random_spd(n, seed):
@@ -111,7 +118,7 @@ def test_symmetry_validation():
 
 def test_negative_diagonal_raises_coercivity():
     mesh = build_unit_square_mesh(2)
-    reaction = assemble_weighted_mass(mesh, -1.0)
+    reaction = constant_mass(mesh, -1.0)
     with pytest.raises(CoercivityError):
         reaction.solve_spd(np.ones(mesh.num_vertices))
 
@@ -119,7 +126,7 @@ def test_negative_diagonal_raises_coercivity():
 def test_assembled_system_with_admissible_weight_solves():
     mesh = build_unit_square_mesh(3)
     op = SparseSymOperator(assemble_stiffness(mesh).matrix +
-                           assemble_weighted_mass(mesh, 1.0).matrix)
+                           constant_mass(mesh, 1.0).matrix)
     rng = np.random.default_rng(2)
     b = rng.standard_normal(mesh.num_vertices)
     x = op.solve_spd(b, tol=1e-12)
@@ -144,7 +151,7 @@ def level6_meshes():
 
 def stiffness_plus_mass(mesh):
     return SparseSymOperator(assemble_stiffness(mesh).matrix +
-                             assemble_weighted_mass(mesh, 1.0).matrix)
+                             constant_mass(mesh, 1.0).matrix)
 
 
 def fill(lu):
@@ -168,7 +175,8 @@ def test_symmetric_factor_solution_is_numbering_independent():
     solutions = []
     for mesh in level6_meshes().values():
         op = stiffness_plus_mass(mesh)
-        x = op.solve_spd(assemble_volume_load(mesh, source), tol=1e-12)
+        x = op.solve_spd(assemble_volume_load(mesh, fem.at_points(
+            source, fem.quadrature_points(mesh))), tol=1e-12)
         # Order the vertices by their coordinates, exact on this dyadic grid.
         grid = np.rint(mesh.vertices * 2 ** 6).astype(int)
         solutions.append(x[np.lexsort((grid[:, 0], grid[:, 1]))])

@@ -106,7 +106,7 @@ def test_refine_halves_h():
 def test_prolongation_p1_exact_for_linear():
     mesh = build_unit_square_mesh(3)
     child, pmap = refine(mesh)
-    field = P1Field.from_function(mesh, lambda x: x[..., 0])
+    field = P1Field(mesh, mesh.vertices[:, 0])
     fine = prolong_p1(pmap, field)
     assert np.max(np.abs(fine.values - child.vertices[:, 0])) <= 1e-15
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocfem import (Bounds, Linearization, Mesh, P0Field, P1Field,
-                   PostprocessedControl, assemble_weighted_mass, barycenters,
+                   PostprocessedControl, TRIANGLE_RULE,
+                   assemble_weighted_mass, barycenters,
                    build_unit_square_mesh, cost, get_preset, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
-                   l2_norm_p1, prolong_p0, prolong_p1, refine)
+                   prolong_p0, prolong_p1, refine)
 from ocfem.mesh import barycentric_coordinates, locate
 
 EPS = np.finfo(float).eps
@@ -70,8 +71,8 @@ def test_prolongation_keeps_the_l2_norm(hierarchy, level, seed, scale):
     mesh, child, pmap = meshes[level], meshes[level + 1], maps[level]
     rng = np.random.default_rng(seed)
     p1 = P1Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_vertices))
-    assert l2_norm_p1(prolong_p1(pmap, p1)) == \
-        pytest.approx(l2_norm_p1(p1), rel=1e-13)
+    assert l2_diff_p1(prolong_p1(pmap, p1), P1Field.zeros(child)) == \
+        pytest.approx(l2_diff_p1(p1, P1Field.zeros(mesh)), rel=1e-13)
     p0 = P0Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_triangles))
     assert l2_diff_p0(prolong_p0(pmap, p0), P0Field.zeros(child)) == \
         pytest.approx(l2_diff_p0(p0, P0Field.zeros(mesh)), rel=1e-13)
@@ -125,10 +126,12 @@ def test_p1_mass_matches_closed_form(level, seed, jitter, weight):
     for i in range(3):
         for j in range(3):
             np.add.at(exact, (tri[:, i], tri[:, j]), area * local[i, j])
-    assert np.max(np.abs(assemble_weighted_mass(mesh).to_dense() - exact)) \
+    shape = (mesh.num_triangles, len(TRIANGLE_RULE.weights))
+    assert np.max(np.abs(assemble_weighted_mass(mesh, np.ones(shape))
+                         .to_dense() - exact)) \
         <= 4.0 * EPS * np.abs(exact).max()
-    assert np.max(np.abs(assemble_weighted_mass(mesh, weight).to_dense()
-                         - weight * exact)) \
+    assert np.max(np.abs(assemble_weighted_mass(mesh, np.full(shape, weight))
+                         .to_dense() - weight * exact)) \
         <= 8.0 * EPS * weight * np.abs(exact).max()
 
 
