@@ -16,7 +16,7 @@ from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, refine)
 from .optimizer import (Bounds, Linearization, OcpSolution, cost,
-                        kkt_residual, project_control, solve_ocp)
+                        solve_ocp)
 from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)
 from .presets import PRESET_NAMES, get_preset

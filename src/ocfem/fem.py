@@ -107,22 +107,18 @@ class P0Field:
     def zeros(cls, mesh: Mesh) -> "P0Field":
         return cls(mesh, np.zeros(mesh.num_triangles))
 
-    @classmethod
-    def constant(cls, mesh: Mesh, value: float) -> "P0Field":
-        return cls(mesh, np.full(mesh.num_triangles, float(value)))
-
     def write_text(self, stream) -> None:
         stream.write(f"p0 {len(self.values)}\n")
         for v in self.values:
             stream.write(f"{float(v)!r}\n")
 
 
-# Read-only arrays derived from a mesh alone, computed on first use and
-# dropped with the mesh (a parameter sweep builds many meshes).
+# Read-only arrays derived from a mesh (and a diffusion), computed on first
+# use and dropped with the mesh (a parameter sweep builds many meshes).
 _PER_MESH = weakref.WeakKeyDictionary()
 
 
-def _per_mesh(mesh: Mesh, key: str, build):
+def _per_mesh(mesh: Mesh, key, build):
     cache = _PER_MESH.setdefault(mesh, {})
     if key not in cache:
         cache[key] = build()
@@ -175,8 +171,19 @@ def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
     ``diffusion`` is None for the identity matrix (Laplacian) or a callable
     mapping points (m, 2) to symmetric coefficient matrices (m, 2, 2).
     The result is symmetric positive semidefinite with constants in its
-    kernel.
+    kernel.  Its data are assembled once per (mesh, diffusion) and stored
+    read-only next to the mesh's pattern.
     """
+    return _operator_on_pattern(mesh, _stiffness_data(mesh, diffusion))
+
+
+def _stiffness_data(mesh: Mesh, diffusion) -> np.ndarray:
+    return _per_mesh(mesh, ("stiffness", diffusion), lambda: (
+        _pattern_data(mesh, _local_stiffness(mesh, diffusion)),))[0]
+
+
+def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
+    """Local (nt, 3, 3) stiffness matrices."""
     g = mesh.grads                                   # (nt, 3, 2)
     if diffusion is None:
         # Row by row, so the temporary is (nt, 3), not a second (nt, 3, 3).
@@ -196,13 +203,14 @@ def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
                         coef.reshape(mesh.num_triangles, -1, 2, 2))
         local = np.einsum("tia,tab,tjb->tij", g, avg, g)
     local *= mesh.areas[:, None, None]
-    return _operator_from_local(mesh, local)
+    return local
 
 
 def assemble_weighted_mass(mesh: Mesh, weight) -> SparseSymOperator:
     """Mass operator of ``int w y z`` for the weight's quadrature values
     ``weight`` (nt, nq)."""
-    return _operator_from_local(mesh, _weighted_mass_local(mesh, weight))
+    return _operator_on_pattern(
+        mesh, _pattern_data(mesh, _weighted_mass_local(mesh, weight)))
 
 
 def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
@@ -244,22 +252,15 @@ def _pattern_data(mesh: Mesh, local: np.ndarray) -> np.ndarray:
     return np.bincount(position, local.ravel(), minlength=len(indices))
 
 
-def _operator_from_local(mesh: Mesh, local: np.ndarray) -> SparseSymOperator:
-    return _operator_on_pattern(mesh, _pattern_data(mesh, local))
-
-
-def add_weighted_mass(mesh: Mesh, a: SparseSymOperator, weight,
+def add_weighted_mass(mesh: Mesh, diffusion, weight,
                       slot: FactorSlot = None) -> SparseSymOperator:
-    """``a`` plus the mass operator of ``weight`` (as in
-    ``assemble_weighted_mass``) for ``a`` assembled on ``mesh``: the mass
-    data add to ``a``'s entry by entry on the mesh's one sparsity pattern,
-    and one operator, sharing ``slot``, is built."""
-    indptr, indices, _ = _pattern(mesh)
-    if not (np.array_equal(a.matrix.indptr, indptr)
-            and np.array_equal(a.matrix.indices, indices)):
-        raise MeshError("operator was not assembled on this mesh")
+    """Stiffness of (``mesh``, ``diffusion``) plus the mass operator of
+    ``weight`` (as in ``assemble_weighted_mass``): the mass data add to the
+    stored stiffness data entry by entry on the mesh's one sparsity
+    pattern, and one operator, sharing ``slot``, is built."""
     mass = _pattern_data(mesh, _weighted_mass_local(mesh, weight))
-    return _operator_on_pattern(mesh, a.matrix.data + mass, slot)
+    return _operator_on_pattern(mesh, _stiffness_data(mesh, diffusion) + mass,
+                                slot)
 
 
 def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Every derivative of the reduced cost at a control comes from one
 ``Linearization``: its state, adjoint, gradient, curvature weight, Hessian
-products and both Hessian forms.  ``solve_ocp`` builds one per outer
-iteration, and ``ocfem check`` one for its derivative checks.
+products and both Hessian forms, and the projection formula
+``Proj_[alpha, beta](mean_T(y phi) / nu)`` with the KKT residual, the L2
+distance of the control from that image.  ``solve_ocp`` builds one per
+outer iteration, and ``ocfem check`` one for its derivative checks.
 
 The outer solver is a primal-dual active-set (semismooth Newton) method on
 the projection-formula residual ``u - Proj((1/nu) * elementwise_mean(y*phi))``:
@@ -60,26 +62,24 @@ class OcpSolution:
 
 
 class Linearization:
-    """State, adjoint and the derivatives of the reduced cost at a control.
+    """State, adjoint, reduced-cost derivatives and projection at a control.
 
     Every Hessian product reuses the operator of the linearized form at the
     state.  The state's Newton tangents and the operator share ``slot`` (a
     new one if None)."""
 
-    def __init__(self, spec, mesh, u, state_init=None, *, stiffness=None,
+    def __init__(self, spec, mesh, u, state_init=None, *,
                  newton_tol=1e-11, linear_tol=1e-12, slot=None):
         self.spec = spec
         self.mesh = mesh
         self.u = u
-        if stiffness is None:
-            stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
         if slot is None:
             slot = FactorSlot()
         self.state, self.report = pde.solve_state(
             spec, mesh, u, init=state_init, tol=newton_tol,
-            linear_tol=linear_tol, stiffness=stiffness, slot=slot)
+            linear_tol=linear_tol, slot=slot)
         self.operator = pde.linearized_operator(spec, mesh, u, self.state,
-                                                stiffness=stiffness, slot=slot)
+                                                slot=slot)
         self.adjoint = pde.solve_adjoint(spec, self.operator, self.state,
                                          linear_tol=linear_tol)
         self.linear_tol = linear_tol
@@ -88,6 +88,11 @@ class Linearization:
         # Elementwise gradient nu u_T - mean_T(y phi) (exact means): the
         # derivative in a P0 direction v is sum_T gradient_T v_T |T|.
         self.gradient = spec.nu * u.values - self.product_mean
+        # Projection formula and the L2 distance of u from its image.
+        self.projected_control = Bounds(spec.alpha, spec.beta).clamp(
+            self.product_mean / spec.nu)
+        diff = u.values - self.projected_control
+        self.kkt_residual = math.sqrt(float(np.sum(mesh.areas * diff * diff)))
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -158,19 +163,6 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
     return tracking + tikhonov
 
 
-def project_control(mesh: Mesh, state: P1Field, adjoint: P1Field,
-                    bounds: Bounds, nu: float) -> P0Field:
-    """Projection formula: clamp of the elementwise mean of y*phi / nu."""
-    mean = fem.elementwise_p1_product_mean(mesh, state, adjoint)
-    return P0Field(mesh, bounds.clamp(mean / nu))
-
-
-def kkt_residual(mesh: Mesh, u: P0Field, state: P1Field, adjoint: P1Field,
-                 bounds: Bounds, nu: float) -> float:
-    """L2 distance between u and its projection-formula image."""
-    return fem.l2_diff_p0(u, project_control(mesh, state, adjoint, bounds, nu))
-
-
 # Relative residual target and iteration budget of the reduced CG.
 _CG_TOL = 1e-10
 _CG_MAX_ITERATIONS = 200
@@ -223,7 +215,6 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     spec.validate(mesh)
     bounds = Bounds(spec.alpha, spec.beta)
     areas = mesh.areas
-    stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     slot = FactorSlot()
     u_values = (bounds.clamp(np.zeros(mesh.num_triangles)) if init is None
                 else bounds.clamp(init.values))
@@ -237,14 +228,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
         # one is built.
         problem = None
         problem = Linearization(spec, mesh, P0Field(mesh, u_values),
-                                state_init=y_guess, stiffness=stiffness,
-                                newton_tol=newton_tol,
+                                state_init=y_guess, newton_tol=newton_tol,
                                 linear_tol=linear_tol, slot=slot)
         y_guess = problem.state
-        q = problem.product_mean / spec.nu
-        projected = bounds.clamp(q)
-        diff = u_values - projected
-        kkt = math.sqrt(float(np.sum(areas * diff * diff)))
+        kkt = problem.kkt_residual
         if best is None or kkt < best.kkt_residual:
             best = OcpSolution(control=P0Field(mesh, u_values.copy()),
                                state=problem.state, adjoint=problem.adjoint,
@@ -262,10 +249,11 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
         last_kkt = kkt
         if stall >= 3:
             # Damped fixed-point safeguard against local nonconvexity.
-            u_values = 0.5 * u_values + 0.5 * projected
+            u_values = 0.5 * u_values + 0.5 * problem.projected_control
             stall = 0
             continue
 
+        q = problem.product_mean / spec.nu
         active_low = q < spec.alpha
         active_high = q > spec.beta
         inactive = ~(active_low | active_high)

@@ -1,6 +1,7 @@
 """Nonlinear state solve and the linear solves of the derivative machinery.
 
-All four solves share one bilinear form: the diffusion form plus a reaction
+All four solves share one bilinear form: the diffusion form, whose
+stiffness ``fem`` assembles once per (mesh, diffusion), plus a reaction
 term whose weight is ``da/dy(x, y_h) + u``.  The adjoint, linearized-state
 and second-order solves take that operator as an argument: it is built once
 per state (``optimizer.Linearization`` does so) and never reassembled by a
@@ -121,22 +122,18 @@ class SolveReport:
 
 def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                         y: P1Field,
-                        stiffness: SparseSymOperator = None,
                         slot: FactorSlot = None) -> SparseSymOperator:
-    """Operator of the linearized form: diffusion + reaction da/dy + u,
-    sharing the factor slot ``slot``."""
-    if stiffness is None:
-        stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
+    """Operator of the linearized form: stored stiffness + reaction
+    da/dy + u, sharing the factor slot ``slot``."""
     da = fem.at_points(spec.nonlinearity_dy, fem.quadrature_points(mesh),
                        y.at_quadrature())
-    return fem.add_weighted_mass(mesh, stiffness, da + u.values[:, None],
+    return fem.add_weighted_mass(mesh, spec.diffusion, da + u.values[:, None],
                                  slot=slot)
 
 
 def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 init: P1Field = None, *, tol: float = 1e-11,
                 max_iterations: int = 50, linear_tol: float = 1e-12,
-                stiffness: SparseSymOperator = None,
                 slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
@@ -149,8 +146,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     this call's own if it is None.
     """
     spec.check_control(mesh, u)
-    if stiffness is None:
-        stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
+    stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     if slot is None:
         slot = FactorSlot()
     load = fem.assemble_boundary_load(mesh, spec.boundary_flux)
@@ -177,7 +173,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 f"state Newton did not converge in {max_iterations} "
                 f"iterations (residual {norm_f:.3e})", report=report)
         operator = linearized_operator(spec, mesh, u, P1Field(mesh, y),
-                                       stiffness=stiffness, slot=slot)
+                                       slot=slot)
         delta = operator.solve_spd(
             -f, tol=max(linear_tol, min(0.1, norm_f / scale)))
         step = 1.0

@@ -168,7 +168,7 @@ def _cost_at(flagship, mesh, u_values, state):
 
 def test_criterion6_gradient_fd(flagship, battery):
     mesh, u, problem = battery
-    v = P0Field.constant(mesh, 1.0)
+    v = P0Field(mesh, np.full(mesh.num_triangles, 1.0))
     derivative = float(np.sum(mesh.areas * problem.gradient * v.values))
     errs = []
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -211,7 +211,7 @@ def test_criterion6_hessian_forms_agree(battery):
 
 def test_criterion6_second_difference_slope(flagship, battery):
     mesh, u, problem = battery
-    v = P0Field.constant(mesh, 3.0)
+    v = P0Field(mesh, np.full(mesh.num_triangles, 3.0))
     h = problem.hessian(v, v)
     base = optimizer.cost(flagship, mesh, u, state=problem.state)
     steps = (0.3, 0.1, 0.03)

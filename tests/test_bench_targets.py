@@ -2,8 +2,9 @@
 
 The tracer skips a missing target silently and its per-layer metrics then
 read 0, so a rename in the package would go unnoticed without this check.
-The workloads call the package with keyword arguments that a later
-simplification must keep accepting.  These tests read ``bench/`` only.
+Every call the workloads make to a package module must still bind with
+its positional and keyword arguments, so a later signature edit cannot
+break the benchmark unnoticed.  These tests read ``bench/`` only.
 """
 import ast
 import importlib
@@ -21,9 +22,10 @@ from ocfem.presets import get_preset
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 WORKLOADS = BENCH / "workloads.py"
-# Package functions the workloads call, by the name they are called with.
-CALLED = {"study.run_study": study.run_study,
-          "pde.solve_state": pde.solve_state}
+# Package functions the workloads call with keyword arguments, by the name
+# they are called with.
+KEYWORD_CALLED = {"study.run_study": study.run_study,
+                  "pde.solve_state": pde.solve_state}
 
 
 def _targets():
@@ -42,27 +44,53 @@ def test_trace_target_resolves(module_name, attr, span):
 
 
 def _workload_calls():
-    """(called name, positional count, keyword names) of each call."""
+    """(called name, package module, positional count, keyword names) of
+    each call of a package module's attribute, such as ``fem.P0Field(...)``
+    or ``ocmesh.barycenters(...)``."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ocfem":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"ocfem.{alias.name}"
     calls = []
-    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
-                isinstance(node.func.value, ast.Name):
-            name = f"{node.func.value.id}.{node.func.attr}"
-            if name in CALLED:
-                calls.append((name, len(node.args),
-                              sorted(k.arg for k in node.keywords)))
+                isinstance(node.func.value, ast.Name) and \
+                node.func.value.id in modules:
+            calls.append((f"{node.func.value.id}.{node.func.attr}",
+                          modules[node.func.value.id], len(node.args),
+                          sorted(k.arg for k in node.keywords)))
     return calls
 
 
+def _keyword_calls():
+    return [(name, positional, keywords)
+            for name, _, positional, keywords in _workload_calls()
+            if name in KEYWORD_CALLED]
+
+
 def test_workloads_call_both_functions():
-    assert {name for name, _, _ in _workload_calls()} == set(CALLED)
+    assert {name for name, _, _ in _keyword_calls()} == set(KEYWORD_CALLED)
 
 
-@pytest.mark.parametrize("name, positional, keywords", _workload_calls())
+@pytest.mark.parametrize("name, positional, keywords", _keyword_calls())
 def test_workload_call_binds(name, positional, keywords):
     assert keywords, f"{name} is called without keywords"
-    inspect.signature(CALLED[name]).bind(
+    inspect.signature(KEYWORD_CALLED[name]).bind(
+        *[None] * positional, **dict.fromkeys(keywords))
+
+
+@pytest.mark.parametrize("name, module_name, positional, keywords",
+                         _workload_calls())
+def test_workload_package_call_binds(name, module_name, positional,
+                                     keywords):
+    function = getattr(importlib.import_module(module_name),
+                       name.split(".")[1], None)
+    assert callable(function), f"{name} is gone"
+    assert None not in keywords, f"{name} is called with **kwargs"
+    inspect.signature(function).bind(
         *[None] * positional, **dict.fromkeys(keywords))
 
 

@@ -4,9 +4,11 @@ Derived expectations are computed by independent oracles: closed-form
 monomial integrals over triangles (factorial formula in barycentric
 coordinates) and tensor-product Gauss quadrature for non-polynomial data.
 """
+import gc
 import io
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -238,13 +240,13 @@ def test_norm_of_identical_fields_is_zero():
     mesh = build_unit_square_mesh(2)
     a = P1Field(mesh, mesh.vertices[:, 1])
     assert l2_diff_p1(a, a) == 0.0
-    u = P0Field.constant(mesh, 2.0)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 2.0))
     assert l2_diff_p0(u, u) == 0.0
 
 
 def test_p0_constant_norm():
     mesh = build_unit_square_mesh(3)
-    c = P0Field.constant(mesh, -1.7)
+    c = P0Field(mesh, np.full(mesh.num_triangles, -1.7))
     assert l2_diff_p0(c, P0Field.zeros(mesh)) == pytest.approx(1.7, rel=1e-14)
 
 
@@ -283,7 +285,7 @@ def test_field_dump_format():
     lines = out.getvalue().splitlines()
     assert lines[0] == f"p1 {mesh.num_vertices}"
     assert [float(v) for v in lines[1:]] == list(field.values)
-    control = P0Field.constant(mesh, 0.5)
+    control = P0Field(mesh, np.full(mesh.num_triangles, 0.5))
     out = io.StringIO()
     control.write_text(out)
     assert out.getvalue().splitlines()[0] == f"p0 {mesh.num_triangles}"
@@ -425,7 +427,7 @@ def test_linearized_operator_builds_one_operator(monkeypatch):
     rng = np.random.default_rng(3)
     u = P0Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
     y = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
-    K = assemble_stiffness(mesh)
+    K = assemble_stiffness(mesh)                 # fills the per-mesh store
     weight = (fem.at_points(spec.nonlinearity_dy, fem.quadrature_points(mesh),
                             y.at_quadrature()) + u.values[:, None])
     expected = K.matrix.data + assemble_weighted_mass(mesh, weight).matrix.data
@@ -437,15 +439,54 @@ def test_linearized_operator_builds_one_operator(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseSymOperator, "__init__", recording)
-    op = pde.linearized_operator(spec, mesh, u, y, stiffness=K)
-    assert built == [op]
-    assert np.array_equal(op.matrix.data, expected)
+    for _ in range(2):
+        built.clear()
+        op = pde.linearized_operator(spec, mesh, u, y)
+        assert built == [op]
+        assert np.array_equal(op.matrix.data, expected)
 
 
-def test_linearized_operator_rejects_stiffness_of_another_mesh():
+def test_stored_stiffness_is_read_only():
+    mesh = build_unit_square_mesh(2)
+    K = assemble_stiffness(mesh)
+    with pytest.raises(ValueError):
+        K.matrix.data[0] = 1.0
+    assert np.shares_memory(assemble_stiffness(mesh).matrix.data,
+                            K.matrix.data)
+
+
+def test_stored_stiffness_is_dropped_with_its_mesh():
+    # A parameter sweep builds many meshes; the store must not keep them.
+    mesh = build_unit_square_mesh(2)
+    pde.solve_state(get_preset("paper-sec6"), mesh, P0Field.zeros(mesh))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def _constant_anisotropic_diffusion(x):
+    return np.broadcast_to(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                           x.shape[:-1] + (2, 2))
+
+
+def test_solve_state_with_anisotropic_diffusion():
+    # The store is keyed on (mesh, diffusion): after a Laplacian solve on the
+    # same mesh, the anisotropic solve must still use its own stiffness.
     spec = get_preset("paper-sec6")
-    mesh = build_unit_square_mesh(3)
-    other = assemble_stiffness(build_unit_square_mesh(2))
-    with pytest.raises(MeshError):
-        pde.linearized_operator(spec, mesh, P0Field.zeros(mesh),
-                                P1Field.zeros(mesh), stiffness=other)
+    mesh = build_unit_square_mesh(4)
+    u = P0Field.zeros(mesh)
+    pde.solve_state(spec, mesh, u)
+    aniso = spec.with_overrides(diffusion=_constant_anisotropic_diffusion)
+    y, report = pde.solve_state(aniso, mesh, u)
+    assert report.converged
+    stiffness = _reference_operator(
+        mesh, _local_stiffness(mesh, _constant_anisotropic_diffusion))
+    load = assemble_boundary_load(mesh, spec.boundary_flux)
+    yq = y.at_quadrature()
+    res = stiffness @ y.values
+    res += assemble_volume_load(mesh, fem.at_points(
+        spec.nonlinearity, fem.quadrature_points(mesh), yq))
+    res += fem.p0_weighted_p1_load(mesh, u, y)
+    res -= load
+    assert np.linalg.norm(res) <= 1e-11 * (1.0 + np.linalg.norm(load))

@@ -56,7 +56,8 @@ def test_cost_tikhonov_constant_control():
     spec = get_preset("tikhonov-only")
     mesh = build_unit_square_mesh(3)
     c = 0.6
-    value = optimizer.cost(spec, mesh, P0Field.constant(mesh, c))
+    value = optimizer.cost(spec, mesh,
+                           P0Field(mesh, np.full(mesh.num_triangles, c)))
     assert value == pytest.approx(0.5 * spec.nu * c * c, rel=1e-12)
 
 
@@ -102,7 +103,7 @@ def test_hessian_zero_direction():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
     u = P0Field.zeros(mesh)
-    v = P0Field.constant(mesh, 1.0)
+    v = P0Field(mesh, np.full(mesh.num_triangles, 1.0))
     zero = P0Field.zeros(mesh)
     assert optimizer.Linearization(spec, mesh, u).hessian(zero, v) == \
         pytest.approx(0.0, abs=1e-14)
@@ -143,7 +144,7 @@ def test_hessian_second_difference():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
     u = fem.l2_project_p0(mesh, lambda x: 0.2 + 0.1 * x[..., 0])
-    v = P0Field.constant(mesh, 3.0)
+    v = P0Field(mesh, np.full(mesh.num_triangles, 3.0))
     problem = optimizer.Linearization(spec, mesh, u)
     h = problem.hessian(v, v)
     base = optimizer.cost(spec, mesh, u, state=problem.state)
@@ -156,19 +157,25 @@ def test_hessian_second_difference():
     assert abs(second - h) <= 1e-5 * (1.0 + abs(h))
 
 
+def _projection(mesh, state, adjoint, bounds, nu):
+    """Values of the projection formula on hand-made fields."""
+    return bounds.clamp(
+        fem.elementwise_p1_product_mean(mesh, state, adjoint) / nu)
+
+
 def test_project_control_examples():
     mesh = build_unit_square_mesh(2)
     bounds = Bounds(-1.0, 1.0)
     nu = 0.05
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 0.5 * nu))
-    assert optimizer.project_control(mesh, y, phi, bounds, nu).values == \
+    assert _projection(mesh, y, phi, bounds, nu) == \
         pytest.approx(0.5, abs=1e-14)
     phi_big = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
-    assert optimizer.project_control(mesh, y, phi_big, bounds, nu).values == \
+    assert _projection(mesh, y, phi_big, bounds, nu) == \
         pytest.approx(1.0, abs=0.0)
     zero = P1Field.zeros(mesh)
-    assert optimizer.project_control(mesh, zero, phi, bounds, nu).values == \
+    assert _projection(mesh, zero, phi, bounds, nu) == \
         pytest.approx(0.0, abs=0.0)
 
 
@@ -177,35 +184,44 @@ def test_project_control_unbounded_above():
     bounds = Bounds(-1.0, np.inf)
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 7.0))
-    values = optimizer.project_control(mesh, y, phi, bounds, 1.0).values
+    values = _projection(mesh, y, phi, bounds, 1.0)
     assert values == pytest.approx(7.0, rel=1e-14)
     phi_low = P1Field(mesh, np.full(mesh.num_vertices, -7.0))
-    values = optimizer.project_control(mesh, y, phi_low, bounds, 1.0).values
+    values = _projection(mesh, y, phi_low, bounds, 1.0)
     assert values == pytest.approx(-1.0, abs=0.0)
 
 
 def test_kkt_residual_of_projection_is_zero():
+    # Without a tracking term the adjoint vanishes, so the projection of
+    # every control is Proj(0) = 0 and the residual is the control's norm.
+    spec = get_preset("tikhonov-only")
     mesh = build_unit_square_mesh(2)
-    bounds = Bounds(-1.0, 1.0)
+    zero = optimizer.Linearization(spec, mesh, P0Field.zeros(mesh))
+    assert np.array_equal(zero.projected_control,
+                          np.zeros(mesh.num_triangles))
+    assert zero.kkt_residual == 0.0
     rng = np.random.default_rng(37)
-    y = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
-    phi = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
-    u = optimizer.project_control(mesh, y, phi, bounds, 0.05)
-    assert optimizer.kkt_residual(mesh, u, y, phi, bounds, 0.05) == 0.0
+    u = P0Field(mesh, rng.uniform(-0.5, 0.5, mesh.num_triangles))
+    problem = optimizer.Linearization(spec, mesh, u)
+    assert np.array_equal(
+        problem.projected_control,
+        _projection(mesh, problem.state, problem.adjoint,
+                    Bounds(spec.alpha, spec.beta), spec.nu))
+    assert problem.kkt_residual == \
+        pytest.approx(l2_diff_p0(u, P0Field.zeros(mesh)), rel=1e-14)
 
 
 def test_kkt_residual_single_element_perturbation():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(1)
     solution = optimizer.solve_ocp(spec, mesh)
-    bounds = Bounds(spec.alpha, spec.beta)
+    projected = _projection(mesh, solution.state, solution.adjoint,
+                            Bounds(spec.alpha, spec.beta), spec.nu)
     values = solution.control.values.copy()
     interior = int(np.argmax((values > spec.alpha + 0.2) &
                              (values < spec.beta - 0.2)))
     values[interior] += 0.1
-    perturbed = P0Field(mesh, values)
-    residual = optimizer.kkt_residual(mesh, perturbed, solution.state,
-                                      solution.adjoint, bounds, spec.nu)
+    residual = l2_diff_p0(P0Field(mesh, values), P0Field(mesh, projected))
     assert residual == pytest.approx(0.1 * np.sqrt(mesh.areas[interior]),
                                      rel=1e-10)
 
@@ -226,10 +242,7 @@ def test_variational_inequality_by_enumeration():
     # a non-stationary control violates the inequality for some grid point
     bad = P0Field(mesh, np.array([0.5, -0.5]))
     problem = optimizer.Linearization(spec, mesh, bad)
-    residual = optimizer.kkt_residual(mesh, bad, problem.state,
-                                      problem.adjoint,
-                                      Bounds(spec.alpha, spec.beta), spec.nu)
-    assert residual > 1e-3
+    assert problem.kkt_residual > 1e-3
     worst = min(min(problem.gradient[t] * (grid - bad.values[t]) *
                     mesh.areas[t]) for t in range(mesh.num_triangles))
     assert worst < -1e-6
@@ -252,10 +265,9 @@ def test_solve_ocp_flagship_fixed_point_and_feasibility():
     assert sol.kkt_residual <= 1e-9
     assert np.all(sol.control.values >= spec.alpha)
     assert np.all(sol.control.values <= spec.beta)
-    projected = optimizer.project_control(mesh, sol.state, sol.adjoint,
-                                          Bounds(spec.alpha, spec.beta),
-                                          spec.nu)
-    assert l2_diff_p0(sol.control, projected) <= 1e-9
+    projected = _projection(mesh, sol.state, sol.adjoint,
+                            Bounds(spec.alpha, spec.beta), spec.nu)
+    assert l2_diff_p0(sol.control, P0Field(mesh, projected)) <= 1e-9
 
 
 def test_solve_ocp_unbounded_above_converges():
@@ -342,6 +354,23 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
     damped = 0.5 * seen[4].u.values + 0.5 * projected[4]
     assert np.array_equal(seen[5].u.values, damped)
     assert kkt[5] < kkt[4]
+
+
+def test_solve_ocp_reports_kkt_residual_of_last_linearization(monkeypatch):
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    seen = []
+
+    class Recording(optimizer.Linearization):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self)
+
+    monkeypatch.setattr(optimizer, "Linearization", Recording)
+    sol = optimizer.solve_ocp(spec, mesh)
+    assert sol.converged
+    assert sol.kkt_residual == seen[-1].kkt_residual
+    assert np.array_equal(sol.control.values, seen[-1].u.values)
 
 
 def test_solve_ocp_releases_previous_problem_before_next(monkeypatch):

@@ -47,7 +47,7 @@ def test_manufactured_constant_with_control():
     # reaction y - 2 plus control 1:  -lap y + 2y = 2  =>  y = 1
     spec = linear_reaction_spec(2.0)
     mesh = build_unit_square_mesh(3)
-    u = P0Field.constant(mesh, 1.0)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 1.0))
     state, report = pde.solve_state(spec, mesh, u)
     assert report.residual <= 1e-12
     assert np.max(np.abs(state.values - 1.0)) <= 1e-12
@@ -56,7 +56,7 @@ def test_manufactured_constant_with_control():
 def test_state_is_deterministic():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
-    u = P0Field.constant(mesh, 0.25)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 0.25))
     y1, _ = pde.solve_state(spec, mesh, u)
     y2, _ = pde.solve_state(spec, mesh, u)
     assert np.array_equal(y1.values, y2.values)
@@ -157,7 +157,7 @@ def test_linearized_zero_direction():
 def test_linearized_superposition():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
-    u = P0Field.constant(mesh, 0.2)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 0.2))
     y, _ = pde.solve_state(spec, mesh, u)
     operator = pde.linearized_operator(spec, mesh, u, y)
     rng = np.random.default_rng(17)
@@ -174,7 +174,7 @@ def test_linearized_superposition():
 def test_linearized_difference_quotient_second_order():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
-    u = P0Field.constant(mesh, 0.1)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 0.1))
     y, _ = pde.solve_state(spec, mesh, u)
     v = fem.l2_project_p0(mesh, lambda x: np.cos(np.pi * x[..., 0]))
     z = pde.solve_linearized(pde.linearized_operator(spec, mesh, u, y), y, v)
@@ -205,7 +205,7 @@ def test_eta_zero_cases():
     y1, _ = pde.solve_state(lin, mesh, zero)
     operator = pde.linearized_operator(lin, mesh, zero, y1)
     phi0 = P1Field.zeros(mesh)
-    v = P0Field.constant(mesh, 1.0)
+    v = P0Field(mesh, np.full(mesh.num_triangles, 1.0))
     z = pde.solve_linearized(operator, y1, v)
     eta = pde.solve_eta(operator, phi0, z, v,
                         np.zeros(fem.quadrature_points(mesh).shape[:2]))
@@ -233,7 +233,8 @@ def test_inadmissible_control_rejected():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
     with pytest.raises(AdmissibilityError):
-        pde.solve_state(spec, mesh, P0Field.constant(mesh, -3.0))
+        pde.solve_state(spec, mesh,
+                        P0Field(mesh, np.full(mesh.num_triangles, -3.0)))
 
 
 def test_newton_budget_error_carries_report():
