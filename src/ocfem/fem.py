@@ -201,7 +201,12 @@ def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
         avg = np.einsum("q,tqab->tab",
                         TRIANGLE_RULE.weights,
                         coef.reshape(mesh.num_triangles, -1, 2, 2))
-        local = np.einsum("tia,tab,tjb->tij", g, avg, g)
+        # Each term is symmetric in (i, j) to the bit, so is the sum.
+        gi, gj, c = g[:, :, None], g[:, None, :], avg[:, None, None]
+        local = (c[..., 0, 0] * (gi[..., 0] * gj[..., 0])
+                 + c[..., 1, 1] * (gi[..., 1] * gj[..., 1])
+                 + (c[..., 0, 1] + c[..., 1, 0]) / 2
+                 * (gi[..., 0] * gj[..., 1] + gi[..., 1] * gj[..., 0]))
     local *= mesh.areas[:, None, None]
     return local
 

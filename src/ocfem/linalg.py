@@ -1,7 +1,9 @@
 """Symmetric sparse operators and the linear solves behind every assembly.
 
-Operators are checked symmetric at construction and are positive definite
-here, so each is factored as symmetric: a reverse Cuthill-McKee
+Operators are symmetric by construction (``fem`` sums local matrices,
+each symmetric to the bit, on one symmetric pattern); that is not checked,
+since every solution is accepted on its own residual.  They are positive
+definite here, so each is factored as symmetric: a reverse Cuthill-McKee
 pre-ordering (George & Liu, 1981, ch. 4-5) makes the fill independent of
 the vertex numbering, then SuperLU in symmetric mode orders by minimum
 degree on A^T + A and takes diagonal pivots only.  No pivoting is safe for
@@ -15,6 +17,8 @@ reaches the working-precision floor: a componentwise backward error
 ``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at most
 ``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error of
 computing the residual itself (the term of LAPACK xGERFS's error bound).
+That error is not formed where ``||r|| > 2 floor (N ||x|| + ||b||)`` rules
+it out, N the largest row or column sum of |A| (a bound on its 2-norm).
 
 Operators built along one chain of nearby operators (a Newton iteration,
 an outer optimization loop) may share a ``FactorSlot``.  An operator that
@@ -22,16 +26,17 @@ has no factor of its own first solves by conjugate gradients
 preconditioned by the slot's factor F (Saad, 2003, sec. 9.2), the factor
 of an earlier operator of the chain.  F is symmetric positive definite
 (the factor of an SPD operator with diagonal pivots), so this converges
-for any SPD operator, and fast when the spectrum of F^-1 A is clustered;
-stationary refinement with F diverges once an eigenvalue of F^-1 A
-exceeds 2.  Each iterate is checked on the true residual ``b - A x`` by
-the same acceptance test, within the same step budget, and the attempt
-stops when a step does not lower the residual or the observed
-contraction cannot reach the tolerance in the steps left.  If it is not
-accepted, the operator is factored, its factor replaces the slot's, and
-the operator solves by refinement with its own factor.  A solve with the
-operator's own factor that is not accepted raises LinearSolverError with
-the residual history.
+for any SPD operator, superlinearly when the spectrum of F^-1 A is
+clustered; stationary refinement with F diverges once an eigenvalue of
+F^-1 A exceeds 2.  Each iterate meets the same acceptance test within
+twenty steps (fewer triangular solves than one factorization costs), and
+the attempt stops early only when a step does not lower the residual.  If
+it is not accepted, or an earlier shared solve of the operator took more
+than five steps (so that it pays one factorization, not repeated slow
+solves), the slot releases its factor, the operator is factored, its
+factor fills the slot, and it solves by refinement with its own factor.
+A solve with the operator's own factor that is not accepted raises
+LinearSolverError with the residual history.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ import scipy.sparse.linalg as spla
 from .errors import CoercivityError, LinearSolverError
 
 _REFINEMENT_STEPS = 5  # as LAPACK xGERFS (ITMAX)
+_SHARED_STEPS = 20  # below the ~25 triangular solves a factorization costs
 
 
 class _PermutedFactor:
@@ -69,8 +75,7 @@ class SparseSymOperator:
     Parameters
     ----------
     matrix : scipy sparse matrix
-        Square matrix in any scipy sparse format; stored as CSR.  Symmetry
-        of the stored values is verified to round-off at construction.
+        Square matrix in any scipy sparse format, symmetric; stored as CSR.
     slot : FactorSlot, optional
         Shared factor of the operator's chain (see the module docstring).
     """
@@ -81,17 +86,11 @@ class SparseSymOperator:
         if n0 != n1:
             raise LinearSolverError("operator must be square")
         self.n = n0
-        if self.matrix.nnz:
-            gap = abs(self.matrix - self.matrix.T).max()
-            scale = max(abs(self.matrix).max(), 1.0)
-            if gap > 1e-14 * scale:
-                raise LinearSolverError(
-                    f"stored values are not symmetric (|A-A^T| = {gap:.3e})")
         self.slot = slot
         self._factorization = None
-        self._diagonal_checked = False
-        # |A| and the backward-error floor, formed when first needed.
-        self._abs_matrix = self._floor = None
+        self._diagonal_checked = self._factor_next = False
+        # The backward-error floor and the norm of |A|, formed when needed.
+        self._floor = self._abs_norm = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -119,22 +118,32 @@ class SparseSymOperator:
 
     def _backward_error(self, x, r, b) -> float:
         """Componentwise backward error ``max_i |r_i| / (|A||x| + |b|)_i``."""
-        if self._abs_matrix is None:
-            self._abs_matrix = abs(self.matrix)
-            row_terms = np.diff(self.matrix.indptr).max() + 1
-            self._floor = float(row_terms * np.finfo(float).eps / 2)
-        scale = self._abs_matrix @ np.abs(x) + np.abs(b)
+        scale = abs(self.matrix) @ np.abs(x) + np.abs(b)
         return float(np.max(np.divide(np.abs(r), scale, out=np.zeros(self.n),
                                       where=scale > 0.0)))
+
+    def _at_floor(self, x, r, b, norm_r, norm_b) -> bool:
+        """Whether ``x`` is at the floor (see the module docstring)."""
+        if self._floor is None:
+            row_terms = np.diff(self.matrix.indptr).max() + 1
+            self._floor = float(row_terms * np.finfo(float).eps / 2)
+            a = abs(self.matrix)
+            self._abs_norm = float(max(a.sum(axis=0).max(),
+                                       a.sum(axis=1).max()))
+        bound = self._abs_norm * float(np.linalg.norm(x)) + norm_b
+        return (norm_r <= 2.0 * self._floor * bound
+                and self._backward_error(x, r, b) <= self._floor)
 
     def _solve_with(self, lu, b, norm_b, tol, shared=False):
         """Solve with factor ``lu``: iterative refinement with the
         operator's own factor, conjugate gradients preconditioned by a
-        shared one (see the module docstring).  A solution that is not
-        accepted is None with a shared factor and raises LinearSolverError
-        with the operator's own."""
+        shared one (see the module docstring).  Returns the solution and
+        its number of steps.  A solution that is not accepted is None with
+        a shared factor and raises LinearSolverError with the operator's
+        own."""
         x = p = None
         r, history = b, []
+        budget = _SHARED_STEPS if shared else _REFINEMENT_STEPS + 1
         while True:
             step = lu.solve(r)
             if shared:  # the next conjugate direction and its exact step
@@ -145,29 +154,23 @@ class SparseSymOperator:
                 step = rz / float(p @ (self.matrix @ p)) * p
             x = step if x is None else x + step
             r = b - self.matrix @ x
-            res = float(np.linalg.norm(r)) / norm_b
+            norm_r = float(np.linalg.norm(r))
+            res = norm_r / norm_b
             if history and not res < history[-1]:
                 break
             history.append(res)
-            if res <= tol:
-                return x
-            omega = self._backward_error(x, r, b)
-            if omega <= self._floor:
-                return x
-            steps_left = _REFINEMENT_STEPS + 1 - len(history)
-            if steps_left == 0:
+            if res <= tol or self._at_floor(x, r, b, norm_r, norm_b):
+                return x, len(history)
+            last = x, r
+            if len(history) == budget:
                 break
-            if shared and len(history) > 1:
-                rho = history[-1] / history[-2]
-                if history[-1] * rho ** steps_left > tol:
-                    break
         if shared:
-            return None
+            return None, len(history)
         raise LinearSolverError(
             f"direct solve residual {history[-1]:.3e} exceeds tol {tol:.3e} "
             f"after {len(history) - 1} refinement steps (componentwise "
-            f"backward error {omega:.3e} above the floor {self._floor:.3e})",
-            residual_history=history)
+            f"backward error {self._backward_error(*last, b):.3e} above the "
+            f"floor {self._floor:.3e})", residual_history=history)
 
     def solve_spd(self, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Solve ``A x = b`` to relative residual ``tol`` (see the module
@@ -187,13 +190,15 @@ class SparseSymOperator:
                         "operator has a nonpositive diagonal entry; "
                         "reaction coefficient is inadmissible")
                 self._diagonal_checked = True
-            if self.slot is not None and self.slot.factor is not None:
-                x = self._solve_with(self.slot.factor, b, norm_b, tol,
-                                     shared=True)
-                if x is not None:
-                    return x
+            if self.slot is not None:
+                if self.slot.factor is not None and not self._factor_next:
+                    x, steps = self._solve_with(self.slot.factor, b, norm_b,
+                                                tol, shared=True)
+                    if x is not None:
+                        self._factor_next = steps > _REFINEMENT_STEPS
+                        return x
                 self.slot.factor = None
             self._factorization = self._factor()
             if self.slot is not None:
                 self.slot.factor = self._factorization
-        return self._solve_with(self._factorization, b, norm_b, tol)
+        return self._solve_with(self._factorization, b, norm_b, tol)[0]

@@ -9,7 +9,7 @@ solve.  Consecutive operators differ only in that weight, so the operators
 of one chain (the Newton steps of a state solve, or every operator of an
 outer optimization) share a ``FactorSlot``: an operator first solves by
 conjugate gradients preconditioned by the chain's latest factor and is
-factored only when that solution is not accepted (see ``ocfem.linalg``).
+factored only when that solve fails or was slow (see ``ocfem.linalg``).
 
 The state solve is an inexact Newton method (Dembo, Eisenstat & Steihaug,
 SIAM J. Numer. Anal. 19, 1982): step k solves its tangent system only to
@@ -18,9 +18,9 @@ with ``scale = 1 + ||boundary load||`` as in the stopping rule.  The
 forcing term is absolute, not relative to ``||F_0||``: with a relative
 one, warm-started solves (small ``||F_0||``) converge only linearly and
 stop just under the tolerance, while the absolute one keeps the quadratic
-overshoot of Newton's last step.  Early steps then cost a few
-preconditioned iterations with an earlier factor instead of a
-factorization.
+overshoot of Newton's last step.  A cold solve factors once, at its first
+step; each later step costs a few preconditioned iterations with that
+factor.
 """
 from __future__ import annotations
 

@@ -110,12 +110,6 @@ def test_dimension_mismatch():
         op.solve_spd(np.zeros(11))
 
 
-def test_symmetry_validation():
-    bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-    with pytest.raises(LinearSolverError):
-        SparseSymOperator(bad)
-
-
 def test_negative_diagonal_raises_coercivity():
     mesh = build_unit_square_mesh(2)
     reaction = constant_mass(mesh, -1.0)
@@ -249,6 +243,66 @@ def test_slot_factor_where_refinement_diverges_solves_by_pcg(monkeypatch):
                               abs=1e-11)
 
 
+def low_rank_update(dense, rank):
+    """``dense + 0.1 V V^T`` for a random V with ``rank`` columns: with
+    the factor F of ``dense``, F^-1 of it is the identity plus a rank-
+    ``rank`` term, so preconditioned CG ends in ``rank + 1`` steps."""
+    v = np.random.default_rng(8).standard_normal((len(dense), rank))
+    return dense + 0.1 * v @ v.T
+
+
+def test_superlinear_pcg_is_accepted_without_factoring(monkeypatch):
+    # Preconditioned CG's residuals read 5.3e-1, 3.0e-2, 1.2e-3, 2.6e-5
+    # and meet 1e-12 at the fifth step.  Extrapolating the contraction of
+    # the first two steps over the four steps left of a budget of six
+    # misses 1e-12 by far, as on a level-8 Newton step whose residuals read
+    # 7.2e-2, 7.6e-3, 3.0e-4, 7.9e-6; the run must not be abandoned.
+    slot, op, dense = chain_with_factor(5)
+    _, solves = counting(slot)
+    matrix = low_rank_update(dense, 4)
+    near = SparseSymOperator(sp.csr_matrix(matrix), slot=slot)
+    monkeypatch.setattr(SparseSymOperator, "_factor",
+                        lambda self: pytest.fail("nearby operator factored"))
+    rng = np.random.default_rng(6)
+    for b in rng.standard_normal((2, 50)):
+        solves.clear()
+        x = near.solve_spd(b, tol=1e-12)
+        # Each solve after the first is of the residual of an iterate.
+        history = [np.linalg.norm(r) / np.linalg.norm(b) for r in solves[1:]]
+        assert history[1] * (history[1] / history[0]) ** 4 > 1e-12
+        assert len(solves) <= 5
+        assert np.linalg.norm(near.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
+        assert x == pytest.approx(np.linalg.solve(matrix, b), rel=1e-9,
+                                  abs=1e-11)
+    assert near._factorization is None
+
+
+def test_slow_shared_solve_factors_before_the_next(monkeypatch):
+    # A rank-8 update takes 9 preconditioned steps, more than the five of
+    # refinement: the operator's next solve factors it, with the slot's
+    # old factor released first.
+    slot, op, dense = chain_with_factor(5)
+    _, solves = counting(slot)
+    matrix = low_rank_update(dense, 8)
+    near = SparseSymOperator(sp.csr_matrix(matrix), slot=slot)
+    factor, held = SparseSymOperator._factor, []
+
+    def recording(self):
+        held.append(slot.factor)
+        return factor(self)
+
+    monkeypatch.setattr(SparseSymOperator, "_factor", recording)
+    rng = np.random.default_rng(6)
+    for k, b in enumerate(rng.standard_normal((2, 50))):
+        x = near.solve_spd(b, tol=1e-12)
+        assert held == [None] * k
+        assert np.linalg.norm(near.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
+        assert x == pytest.approx(np.linalg.solve(matrix, b), rel=1e-9,
+                                  abs=1e-11)
+    assert 6 <= len(solves) <= 20
+    assert slot.factor is near._factorization is not None
+
+
 def test_far_operator_falls_back_to_own_factor():
     # A plus a diagonal spanning four orders of magnitude: the residual of
     # conjugate gradients preconditioned by A's factor reads 1.10 after the
@@ -277,3 +331,31 @@ def test_nonpositive_diagonal_raises_with_shared_factor():
         SparseSymOperator(sp.csr_matrix(bad), slot=slot).solve_spd(
             np.ones(50))
     assert slot.factor is op._factorization
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 2.0])
+def test_norm_bound_never_skips_a_solution_at_the_floor(spread):
+    # D A D for a random SPD A and a diagonal D of 10^U(-spread, spread):
+    # rows of very different sizes.  Near-solutions x (1 + d), |d| from
+    # 1e-17 to 1e-6, lie on both sides of the floor; wherever the
+    # componentwise backward error meets it, the norm bound must not rule
+    # it out.
+    _, dense = random_spd(60, seed=3)
+    rng = np.random.default_rng(50)
+    d = 10.0 ** rng.uniform(-spread, spread, 60)
+    op = SparseSymOperator(sp.csr_matrix(d[:, None] * dense * d))
+    b = rng.standard_normal(60)
+    x = op.solve_spd(b)
+    norm_b = np.linalg.norm(b)
+    outcomes = set()
+    for size in 10.0 ** np.arange(-17.0, -5.0):
+        for near in x * (1.0 + size * rng.standard_normal((10, 60))):
+            r = b - op.matrix @ near
+            norm_r = float(np.linalg.norm(r))
+            at_floor = op._at_floor(near, r, b, norm_r, norm_b)
+            assert at_floor == (op._backward_error(near, r, b) <= op._floor)
+            ruled_out = norm_r > 2.0 * op._floor * (
+                op._abs_norm * np.linalg.norm(near) + norm_b)
+            outcomes.add((at_floor, ruled_out))
+    # At the floor, above it but not ruled out, and ruled out all occur.
+    assert outcomes == {(True, False), (False, False), (False, True)}

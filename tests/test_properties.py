@@ -1,7 +1,8 @@
 """Property tests of the nested mesh hierarchy (samples by index against
 point location, exact prolongation, cross-level norms, and the layout
-``refine`` fixes), of the P1 mass matrix against its closed form, and of
-the reduced gradient against central differences of the cost.
+``refine`` fixes), of the P1 mass matrix against its closed form, of the
+exact symmetry of every assembled operator, and of the reduced gradient
+against central differences of the cost.
 
 Every test is derandomized, so each run draws the same examples.
 """
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocfem import (Bounds, Linearization, Mesh, P0Field, P1Field,
-                   PostprocessedControl, TRIANGLE_RULE,
-                   assemble_weighted_mass, barycenters,
+                   PostprocessedControl, TRIANGLE_RULE, assemble_stiffness,
+                   assemble_weighted_mass, barycenters, fem,
                    build_unit_square_mesh, cost, get_preset, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
                    prolong_p0, prolong_p1, refine)
@@ -133,6 +134,36 @@ def test_p1_mass_matches_closed_form(level, seed, jitter, weight):
     assert np.max(np.abs(assemble_weighted_mass(mesh, np.full(shape, weight))
                          .to_dense() - weight * exact)) \
         <= 8.0 * EPS * weight * np.abs(exact).max()
+
+
+def varying_diffusion(x):
+    """A symmetric, anisotropic coefficient that varies in space."""
+    out = np.empty(x.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 2.0 + x[..., 0]
+    out[..., 1, 1] = 1.0 + x[..., 1] ** 2
+    out[..., 0, 1] = out[..., 1, 0] = 0.3 * np.sin(3.0 * x[..., 0]) \
+        * x[..., 1]
+    return out
+
+
+@deterministic
+@given(level=st.integers(0, 5), seed=seeds, jitter=st.floats(0.0, 0.125))
+def test_assembled_operators_are_exactly_symmetric(level, seed, jitter):
+    # Operators are not checked for symmetry when built: every one that
+    # fem assembles must equal its transpose bit for bit.
+    mesh = jittered_mesh(level, seed, jitter)
+    weight = np.random.default_rng(seed).uniform(
+        -1.0, 2.0, (mesh.num_triangles, len(TRIANGLE_RULE.weights)))
+    for op in (assemble_stiffness(mesh),
+               assemble_stiffness(mesh, varying_diffusion),
+               assemble_weighted_mass(mesh, weight),
+               fem.add_weighted_mass(mesh, None, weight),
+               fem.add_weighted_mass(mesh, varying_diffusion, weight)):
+        transpose = op.matrix.T.tocsr()
+        transpose.sort_indices()
+        assert np.array_equal(op.matrix.indptr, transpose.indptr)
+        assert np.array_equal(op.matrix.indices, transpose.indices)
+        assert op.matrix.data.tobytes() == transpose.data.tobytes()
 
 
 @deterministic
