@@ -15,8 +15,7 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
 from .linalg import SparseSymOperator
 from .mesh import (Mesh, ProlongationMap, barycenters,
                    build_unit_square_mesh, refine)
-from .optimizer import (Bounds, Linearization, OcpSolution, cost,
-                        solve_ocp)
+from .optimizer import Linearization, OcpSolution, cost, solve_ocp
 from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)
 from .presets import PRESET_NAMES, get_preset

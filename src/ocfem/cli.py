@@ -261,7 +261,7 @@ def _linearization(spec, mesh):
         return x[..., 0] - x[..., 1] + 0.25
 
     u = fem.l2_project_p0(mesh, profile)
-    u = P0Field(mesh, optimizer.Bounds(spec.alpha, spec.beta).clamp(u.values))
+    u = P0Field(mesh, spec.clamp(u.values))
     return (optimizer.Linearization(spec, mesh, u),
             fem.l2_project_p0(mesh, dir1), fem.l2_project_p0(mesh, dir2))
 
@@ -422,7 +422,7 @@ def main(argv=None) -> int:
     try:
         _check_memory(cfg.levels[1] if args.command == "study" else cfg.level)
         return command(cfg, spec)
-    except MeshError as err:          # a level too fine to index or to fit
+    except (MeshError, OSError) as err:  # a level too fine, an unwritable out
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,34 +9,33 @@ the vertex numbering, then SuperLU in symmetric mode orders by minimum
 degree on A^T + A and takes diagonal pivots only.  No pivoting is safe for
 SPD matrices; a nonpositive diagonal entry (here an inadmissible reaction
 coefficient) raises CoercivityError before the first solve of an operator.
-With the operator's own factor F, iterative refinement
-``x += F^-1 (b - A x)`` (Higham, 2002, ch. 12) takes at most five steps,
-each of which must lower the true residual.  A solution is accepted when
-its relative residual meets the tolerance, or at the first step that
-reaches the working-precision floor: a componentwise backward error
-``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at most
-``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error of
-computing the residual itself (the term of LAPACK xGERFS's error bound).
+
+Every solve is one iteration: conjugate gradients preconditioned by a
+factor F (Saad, 2003, sec. 9.2).  F is symmetric positive definite (the
+factor of an SPD operator with diagonal pivots), so this converges for any
+SPD operator: in one or two steps with the operator's own factor (F^-1 A
+is the identity up to round-off), superlinearly with a nearby operator's
+when the spectrum of F^-1 A is clustered.  A solution is
+accepted when its relative residual meets the tolerance, or at the first
+iterate that reaches the working-precision floor: a componentwise backward
+error ``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at
+most ``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error
+of computing the residual itself (the term of LAPACK xGERFS's error bound).
 That error is not formed where ``||r|| > 2 floor (N ||x|| + ||b||)`` rules
 it out, N the largest row or column sum of |A| (a bound on its 2-norm).
+The iteration takes at most twenty steps (fewer triangular solves than one
+factorization costs) and stops early only when a step does not lower the
+residual.
 
-Operators built along one chain of nearby operators (a Newton iteration,
-an outer optimization loop) may share a ``FactorSlot``.  An operator that
-has no factor of its own first solves by conjugate gradients
-preconditioned by the slot's factor F (Saad, 2003, sec. 9.2), the factor
-of an earlier operator of the chain.  F is symmetric positive definite
-(the factor of an SPD operator with diagonal pivots), so this converges
-for any SPD operator, superlinearly when the spectrum of F^-1 A is
-clustered; stationary refinement with F diverges once an eigenvalue of
-F^-1 A exceeds 2.  Each iterate meets the same acceptance test within
-twenty steps (fewer triangular solves than one factorization costs), and
-the attempt stops early only when a step does not lower the residual.  If
-it is not accepted, or an earlier shared solve of the operator took more
-than five steps (so that it pays one factorization, not repeated slow
-solves), the slot releases its factor, the operator is factored, its
-factor fills the slot, and it solves by refinement with its own factor.
-A solve with the operator's own factor that is not accepted raises
-LinearSolverError with the residual history.
+Every operator holds a ``FactorSlot``: its own, or one shared by a chain of
+nearby operators (a Newton iteration, an outer optimization loop), which
+holds the chain's latest factor.  An operator without a factor of its own
+first solves with the slot's factor.  If that solve is not accepted, or an
+earlier one of the operator took more than five steps (so that it pays one
+factorization, not repeated slow solves), the slot releases its factor,
+the operator is factored, its factor fills the slot, and it solves again
+with it.  A solve with the operator's own factor that is not accepted
+raises LinearSolverError with the residual history.
 """
 from __future__ import annotations
 
@@ -46,8 +45,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import CoercivityError, LinearSolverError
 
-_REFINEMENT_STEPS = 5  # as LAPACK xGERFS (ITMAX)
-_SHARED_STEPS = 20  # below the ~25 triangular solves a factorization costs
+_STEPS = 20  # below the ~25 triangular solves a factorization costs
+_SLOW_STEPS = 5  # a slower shared solve factors before the next one
 
 
 class _PermutedFactor:
@@ -63,7 +62,8 @@ class _PermutedFactor:
 
 
 class FactorSlot:
-    """The latest factor of a chain of nearby operators, shared by them."""
+    """The latest factor of one operator, or of a chain of nearby
+    operators that share it."""
 
     def __init__(self):
         self.factor = None
@@ -77,7 +77,8 @@ class SparseSymOperator:
     matrix : scipy sparse matrix
         Square matrix in any scipy sparse format, symmetric; stored as CSR.
     slot : FactorSlot, optional
-        Shared factor of the operator's chain (see the module docstring).
+        Shared factor of the operator's chain, or a new slot of its own
+        (see the module docstring).
     """
 
     def __init__(self, matrix, slot: FactorSlot = None):
@@ -86,7 +87,7 @@ class SparseSymOperator:
         if n0 != n1:
             raise LinearSolverError("operator must be square")
         self.n = n0
-        self.slot = slot
+        self.slot = FactorSlot() if slot is None else slot
         self._factorization = None
         self._diagonal_checked = self._factor_next = False
         # The backward-error floor and the norm of |A|, formed when needed.
@@ -134,24 +135,20 @@ class SparseSymOperator:
         return (norm_r <= 2.0 * self._floor * bound
                 and self._backward_error(x, r, b) <= self._floor)
 
-    def _solve_with(self, lu, b, norm_b, tol, shared=False):
-        """Solve with factor ``lu``: iterative refinement with the
-        operator's own factor, conjugate gradients preconditioned by a
-        shared one (see the module docstring).  Returns the solution and
-        its number of steps.  A solution that is not accepted is None with
-        a shared factor and raises LinearSolverError with the operator's
-        own."""
+    def _solve_with(self, factor, b, norm_b, tol):
+        """Conjugate gradients preconditioned by ``factor`` (see the module
+        docstring).  Returns the accepted solution or None, the relative
+        residual of each iterate kept, and the last of them with its
+        residual."""
         x = p = None
         r, history = b, []
-        budget = _SHARED_STEPS if shared else _REFINEMENT_STEPS + 1
-        while True:
-            step = lu.solve(r)
-            if shared:  # the next conjugate direction and its exact step
-                rz = float(r @ step)
-                if p is not None:
-                    step += rz / rz_prev * p
-                p, rz_prev = step, rz
-                step = rz / float(p @ (self.matrix @ p)) * p
+        while len(history) < _STEPS:
+            step = factor.solve(r)
+            rz = float(r @ step)
+            if p is not None:  # the next conjugate direction
+                step += rz / rz_prev * p
+            p, rz_prev = step, rz
+            step = rz / float(p @ (self.matrix @ p)) * p
             x = step if x is None else x + step
             r = b - self.matrix @ x
             norm_r = float(np.linalg.norm(r))
@@ -159,22 +156,14 @@ class SparseSymOperator:
             if history and not res < history[-1]:
                 break
             history.append(res)
-            if res <= tol or self._at_floor(x, r, b, norm_r, norm_b):
-                return x, len(history)
             last = x, r
-            if len(history) == budget:
-                break
-        if shared:
-            return None, len(history)
-        raise LinearSolverError(
-            f"direct solve residual {history[-1]:.3e} exceeds tol {tol:.3e} "
-            f"after {len(history) - 1} refinement steps (componentwise "
-            f"backward error {self._backward_error(*last, b):.3e} above the "
-            f"floor {self._floor:.3e})", residual_history=history)
+            if res <= tol or self._at_floor(x, r, b, norm_r, norm_b):
+                return x, history, last
+        return None, history, last
 
     def solve_spd(self, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Solve ``A x = b`` to relative residual ``tol`` (see the module
-        docstring for the refinement, the floor rule and the shared
+        docstring for the iteration, the floor rule and the shared
         factor)."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
@@ -190,15 +179,20 @@ class SparseSymOperator:
                         "operator has a nonpositive diagonal entry; "
                         "reaction coefficient is inadmissible")
                 self._diagonal_checked = True
-            if self.slot is not None:
-                if self.slot.factor is not None and not self._factor_next:
-                    x, steps = self._solve_with(self.slot.factor, b, norm_b,
-                                                tol, shared=True)
-                    if x is not None:
-                        self._factor_next = steps > _REFINEMENT_STEPS
-                        return x
-                self.slot.factor = None
-            self._factorization = self._factor()
-            if self.slot is not None:
-                self.slot.factor = self._factorization
-        return self._solve_with(self._factorization, b, norm_b, tol)[0]
+            if self.slot.factor is not None and not self._factor_next:
+                x, history, _ = self._solve_with(self.slot.factor, b, norm_b,
+                                                 tol)
+                if x is not None:
+                    self._factor_next = len(history) > _SLOW_STEPS
+                    return x
+            self.slot.factor = None
+            self._factorization = self.slot.factor = self._factor()
+        x, history, last = self._solve_with(self._factorization, b, norm_b,
+                                            tol)
+        if x is None:
+            raise LinearSolverError(
+                f"solve residual {history[-1]:.3e} exceeds tol {tol:.3e} "
+                f"after {len(history)} preconditioned steps (componentwise "
+                f"backward error {self._backward_error(*last, b):.3e} above "
+                f"the floor {self._floor:.3e})", residual_history=history)
+        return x

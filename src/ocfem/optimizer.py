@@ -32,21 +32,6 @@ from .linalg import FactorSlot
 from .mesh import Mesh
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Box constraints [alpha, beta]; beta may be ``math.inf``."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.alpha < self.beta:
-            raise OcfemError("bounds must satisfy alpha < beta")
-
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(values, self.alpha), self.beta)
-
-
 @dataclass
 class OcpSolution:
     """Converged (or best) solution of the discrete control problem."""
@@ -89,8 +74,7 @@ class Linearization:
         # derivative in a P0 direction v is sum_T gradient_T v_T |T|.
         self.gradient = spec.nu * u.values - self.product_mean
         # Projection formula and the L2 distance of u from its image.
-        self.projected_control = Bounds(spec.alpha, spec.beta).clamp(
-            self.product_mean / spec.nu)
+        self.projected_control = spec.clamp(self.product_mean / spec.nu)
         diff = u.values - self.projected_control
         self.kkt_residual = math.sqrt(float(np.sum(mesh.areas * diff * diff)))
 
@@ -213,11 +197,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     sufficiency at the computed point.
     """
     spec.validate(mesh)
-    bounds = Bounds(spec.alpha, spec.beta)
     areas = mesh.areas
     slot = FactorSlot()
-    u_values = (bounds.clamp(np.zeros(mesh.num_triangles)) if init is None
-                else bounds.clamp(init.values))
+    u_values = spec.clamp(np.zeros(mesh.num_triangles) if init is None
+                          else init.values)
     y_guess = state_init
     best: Optional[OcpSolution] = None
     last_kkt = math.inf
@@ -268,7 +251,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
             rhs -= h_active
         step = _reduced_cg(problem, np.where(inactive, rhs, 0.0), inactive,
                            areas)
-        u_values = bounds.clamp(u_values + delta + step)
+        u_values = spec.clamp(u_values + delta + step)
 
     best.cost = cost(spec, mesh, best.control, state=best.state)
     raise NonconvergenceError(

@@ -70,6 +70,10 @@ class ProblemSpec:
         if not self.alpha < self.beta:
             raise AdmissibilityError("bounds must satisfy alpha < beta")
 
+    def clamp(self, values: np.ndarray) -> np.ndarray:
+        """``values`` projected onto the box [alpha, beta]."""
+        return np.minimum(np.maximum(values, self.alpha), self.beta)
+
     def with_overrides(self, **changes) -> "ProblemSpec":
         return replace(self, **changes)
 

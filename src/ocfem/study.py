@@ -31,7 +31,7 @@ from .errors import LinearSolverError, NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field, TRIANGLE_RULE
 from .mesh import (Mesh, ProlongationMap, build_unit_square_mesh,
                    check_level, refine)
-from .optimizer import Bounds, OcpSolution
+from .optimizer import OcpSolution
 
 
 @dataclass
@@ -61,19 +61,19 @@ def eoc(e_prev: float, e_cur: float) -> Optional[float]:
 
 
 class PostprocessedControl:
-    """Pointwise projected control ``clamp(y(x) phi(x) / nu)``."""
+    """Pointwise projected control ``clamp(y(x) phi(x) / nu)``, with the
+    box and nu of ``spec``, on the mesh of ``state``."""
 
-    def __init__(self, mesh: Mesh, state: P1Field, adjoint: P1Field,
-                 bounds: Bounds, nu: float):
-        self.mesh = mesh
+    def __init__(self, spec: pde.ProblemSpec, state: P1Field,
+                 adjoint: P1Field):
+        self.spec = spec
+        self.mesh = state.mesh
         self.state = state
         self.adjoint = adjoint
-        self.bounds = bounds
-        self.nu = float(nu)
 
     def _from_values(self, y, phi) -> np.ndarray:
         """``clamp(y phi / nu)`` of state and adjoint values."""
-        return self.bounds.clamp(y * phi / self.nu)
+        return self.spec.clamp(y * phi / self.spec.nu)
 
     def samples_on(self, mesh: Mesh) -> np.ndarray:
         """Values at the three vertices and the barycenter of every
@@ -109,7 +109,7 @@ def postprocess_error_cross(state: P1Field, adjoint: P1Field,
     ``state`` and ``adjoint`` are the coarser level's fields prolonged to
     ``fine.mesh``; nested P1 prolongation is exact, so they are the coarse
     fields at the fine quadrature points.  Both sides are clamped with
-    ``fine``'s bounds and nu.  Integrated with the standard
+    ``fine``'s box and nu.  Integrated with the standard
     volume rule on the finer mesh; the clamp kinks are not split (their set
     has vanishing measure under the free-boundary assumption, keeping the
     quadrature error below the measured second-order signal).
@@ -141,22 +141,24 @@ class Classification:
     tol_active: float
 
 
-def classify_elements(mesh: Mesh, control: PostprocessedControl,
-                      bounds: Bounds) -> Classification:
+def classify_elements(mesh: Mesh,
+                      control: PostprocessedControl) -> Classification:
     """Split elements into mixed (active and inactive samples) and pure.
 
     Samples each element at its vertices and barycenter by index
     (``control.samples_on``), so ``control`` lives on ``mesh`` or a
     refinement of it.  A sample is active within ``1e-6 (beta - alpha)`` of
-    a bound, or ``1e-6 max(1, |alpha|)`` if beta is infinite.
+    a bound of ``control.spec``, or ``1e-6 max(1, |alpha|)`` if beta is
+    infinite.
     """
-    if math.isfinite(bounds.beta):
-        tol_active = 1e-6 * (bounds.beta - bounds.alpha)
+    alpha, beta = control.spec.alpha, control.spec.beta
+    if math.isfinite(beta):
+        tol_active = 1e-6 * (beta - alpha)
     else:
-        tol_active = 1e-6 * max(1.0, abs(bounds.alpha))
+        tol_active = 1e-6 * max(1.0, abs(alpha))
     vals = control.samples_on(mesh)
-    active = (np.abs(vals - bounds.alpha) <= tol_active) | \
-        (np.abs(vals - bounds.beta) <= tol_active)
+    active = (np.abs(vals - alpha) <= tol_active) | \
+        (np.abs(vals - beta) <= tol_active)
     mixed = active.any(axis=1) & (~active).any(axis=1)
     t1 = np.flatnonzero(mixed)
     t2 = np.flatnonzero(~mixed)
@@ -196,7 +198,6 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
         meshes.append(child)
         maps.append(pmap)
 
-    bounds = Bounds(spec.alpha, spec.beta)
     solutions: List[OcpSolution] = []
     # Each level's control, state and adjoint, prolonged to the next level.
     prolonged: List[Tuple[P0Field, P1Field, P1Field]] = []
@@ -210,8 +211,8 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
                                       linear_tol=linear_tol)
         except (NonconvergenceError, LinearSolverError) as err:
             err.args = (f"study aborted at level {level}: {err}",)
-            err.report = _build_records(spec, bounds, meshes, solutions,
-                                        prolonged, j_min)
+            err.report = _build_records(spec, meshes, solutions, prolonged,
+                                        j_min)
             raise
         solutions.append(sol)
         if progress is not None:
@@ -221,27 +222,24 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
             prolonged.append((fem.prolong_p0(pmap, sol.control),
                               fem.prolong_p1(pmap, sol.state),
                               fem.prolong_p1(pmap, sol.adjoint)))
-    return _build_records(spec, bounds, meshes, solutions, prolonged, j_min)
+    return _build_records(spec, meshes, solutions, prolonged, j_min)
 
 
-def _build_records(spec, bounds, meshes, solutions, prolonged, j_min):
+def _build_records(spec, meshes, solutions, prolonged, j_min):
     rows: List[StudyRecord] = []
     n_pairs = max(len(solutions) - 1, 0)
     if n_pairs:
         last = solutions[-1]
-        reference = PostprocessedControl(meshes[len(solutions) - 1],
-                                         last.state, last.adjoint, bounds,
-                                         spec.nu)
+        reference = PostprocessedControl(spec, last.state, last.adjoint)
     for i in range(n_pairs):
         coarse, fine = solutions[i], solutions[i + 1]
         control, state, adjoint = prolonged[i]
         e_u = fem.l2_diff_p0(control, fine.control)
         e_y = fem.l2_diff_p1(state, fine.state)
         e_phi = fem.l2_diff_p1(adjoint, fine.adjoint)
-        pp_fine = PostprocessedControl(meshes[i + 1], fine.state,
-                                       fine.adjoint, bounds, spec.nu)
+        pp_fine = PostprocessedControl(spec, fine.state, fine.adjoint)
         e_upost = postprocess_error_cross(state, adjoint, pp_fine)
-        measure = classify_elements(meshes[i], reference, bounds).measure_t1
+        measure = classify_elements(meshes[i], reference).measure_t1
         prev = rows[-1] if rows else None
         rows.append(StudyRecord(
             level=j_min + i, h=meshes[i].h,

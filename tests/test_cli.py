@@ -255,6 +255,18 @@ def test_study_oversized_range_exit_2_before_any_mesh(capsys, monkeypatch):
         "error: level 16 overflows the vertex index type"]
 
 
+@pytest.mark.parametrize("command, out", [
+    (["study", "--levels", "1..2"], "missing/dir/table.csv"),
+    (["solve", "--level", "1"], "a-file"),
+], ids=["study-missing-dir", "solve-out-is-a-file"])
+def test_unwritable_out_exit_2(command, out, tmp_path, capsys):
+    (tmp_path / "a-file").write_text("")
+    assert run_cli(command + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("level ")] == err[-1:]
+    assert err[-1].startswith("error: ")
+
+
 def _record_linearizations(monkeypatch):
     import ocfem.cli as cli_mod
     seen = []

@@ -53,8 +53,8 @@ def test_random_spd_against_dense_oracle():
 
 
 def test_refinement_on_perturbed_factor_meets_tol():
-    # The factor of 1.001 A leaves a first residual near 1e-3; refinement
-    # with it contracts by about 1e-3 per step.
+    # The factor of 1.001 A is an exact preconditioner up to scale: the
+    # first preconditioned step, F^-1 b times its exact length, meets tol.
     op, dense = random_spd(50, seed=5)
     op._factorization = spla.splu(sp.csc_matrix(1.001 * dense))
     rng = np.random.default_rng(6)
@@ -65,11 +65,18 @@ def test_refinement_on_perturbed_factor_meets_tol():
     assert x == pytest.approx(oracle, rel=1e-9, abs=1e-11)
 
 
-def test_refinement_stall_raises_with_history():
-    # The factor of 3 A contracts the residual by only 2/3 per step, so the
-    # step budget runs out far above tol and far above the precision floor.
+def far_matrix(dense):
+    """``dense`` plus a diagonal spanning four orders of magnitude."""
+    return dense + np.diag(
+        10.0 ** np.random.default_rng(7).uniform(0.0, 4.0, 50))
+
+
+def test_own_factor_stall_raises_with_history():
+    # An own factor that is the factor of a far matrix: conjugate gradients
+    # preconditioned by it lower the residual from 0.91 to only 0.31 in the
+    # step budget, far above tol and far above the precision floor.
     op, dense = random_spd(50, seed=5)
-    op._factorization = spla.splu(sp.csc_matrix(3.0 * dense))
+    op._factorization = spla.splu(sp.csc_matrix(far_matrix(dense)))
     b = np.random.default_rng(6).standard_normal(50)
     with pytest.raises(LinearSolverError) as err:
         op.solve_spd(b, tol=1e-12)
@@ -204,6 +211,20 @@ def test_nearby_operator_solves_with_slot_factor(monkeypatch):
                               abs=1e-11)
 
 
+def test_own_and_slot_factor_solve_alike(monkeypatch):
+    # One iteration whichever factor it is given: an operator solving with
+    # the factor of the operator before it, on the same matrix, returns
+    # that operator's solution bit for bit, and does not factor.
+    slot, op, dense = chain_with_factor(5)
+    b = np.random.default_rng(6).standard_normal(50)
+    x = op.solve_spd(b, tol=1e-12)
+    twin = SparseSymOperator(sp.csr_matrix(dense), slot=slot)
+    monkeypatch.setattr(SparseSymOperator, "_factor",
+                        lambda self: pytest.fail("twin operator factored"))
+    assert np.array_equal(twin.solve_spd(b, tol=1e-12), x)
+    assert twin._factorization is None
+
+
 def counting(slot):
     """Replace the slot's factor by one that records each right-hand side."""
     shared, solves = slot.factor, []
@@ -278,9 +299,9 @@ def test_superlinear_pcg_is_accepted_without_factoring(monkeypatch):
 
 
 def test_slow_shared_solve_factors_before_the_next(monkeypatch):
-    # A rank-8 update takes 9 preconditioned steps, more than the five of
-    # refinement: the operator's next solve factors it, with the slot's
-    # old factor released first.
+    # A rank-8 update takes 9 preconditioned steps, more than five: the
+    # operator's next solve factors it, with the slot's old factor released
+    # first.
     slot, op, dense = chain_with_factor(5)
     _, solves = counting(slot)
     matrix = low_rank_update(dense, 8)
@@ -310,16 +331,15 @@ def test_far_operator_falls_back_to_own_factor():
     # there for want of a decrease.
     slot, op, dense = chain_with_factor(5)
     shared, solves = counting(slot)
-    far_matrix = dense + np.diag(
-        10.0 ** np.random.default_rng(7).uniform(0.0, 4.0, 50))
-    far = SparseSymOperator(sp.csr_matrix(far_matrix), slot=slot)
+    matrix = far_matrix(dense)
+    far = SparseSymOperator(sp.csr_matrix(matrix), slot=slot)
     b = np.random.default_rng(6).standard_normal(50)
     x = far.solve_spd(b, tol=1e-12)
     assert len(solves) == 2
     assert far._factorization is not None
     assert slot.factor is far._factorization
     assert np.linalg.norm(far.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
-    assert x == pytest.approx(np.linalg.solve(far_matrix, b), rel=1e-9,
+    assert x == pytest.approx(np.linalg.solve(matrix, b), rel=1e-9,
                               abs=1e-11)
 
 

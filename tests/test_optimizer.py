@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ocfem import (Bounds, NonconvergenceError, P0Field, P1Field,
+from ocfem import (NonconvergenceError, P0Field, P1Field,
                    build_unit_square_mesh, get_preset, l2_diff_p0)
 from ocfem import fem, optimizer, pde
 
@@ -157,37 +157,39 @@ def test_hessian_second_difference():
     assert abs(second - h) <= 1e-5 * (1.0 + abs(h))
 
 
-def _projection(mesh, state, adjoint, bounds, nu):
+def _projection(mesh, state, adjoint, spec):
     """Values of the projection formula on hand-made fields."""
-    return bounds.clamp(
-        fem.elementwise_p1_product_mean(mesh, state, adjoint) / nu)
+    return spec.clamp(
+        fem.elementwise_p1_product_mean(mesh, state, adjoint) / spec.nu)
 
 
 def test_project_control_examples():
     mesh = build_unit_square_mesh(2)
-    bounds = Bounds(-1.0, 1.0)
-    nu = 0.05
+    spec = get_preset("paper-sec6").with_overrides(alpha=-1.0, beta=1.0,
+                                                   nu=0.05)
+    nu = spec.nu
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 0.5 * nu))
-    assert _projection(mesh, y, phi, bounds, nu) == \
+    assert _projection(mesh, y, phi, spec) == \
         pytest.approx(0.5, abs=1e-14)
     phi_big = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
-    assert _projection(mesh, y, phi_big, bounds, nu) == \
+    assert _projection(mesh, y, phi_big, spec) == \
         pytest.approx(1.0, abs=0.0)
     zero = P1Field.zeros(mesh)
-    assert _projection(mesh, zero, phi, bounds, nu) == \
+    assert _projection(mesh, zero, phi, spec) == \
         pytest.approx(0.0, abs=0.0)
 
 
 def test_project_control_unbounded_above():
     mesh = build_unit_square_mesh(1)
-    bounds = Bounds(-1.0, np.inf)
+    spec = get_preset("paper-sec6").with_overrides(alpha=-1.0, beta=np.inf,
+                                                   nu=1.0)
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 7.0))
-    values = _projection(mesh, y, phi, bounds, 1.0)
+    values = _projection(mesh, y, phi, spec)
     assert values == pytest.approx(7.0, rel=1e-14)
     phi_low = P1Field(mesh, np.full(mesh.num_vertices, -7.0))
-    values = _projection(mesh, y, phi_low, bounds, 1.0)
+    values = _projection(mesh, y, phi_low, spec)
     assert values == pytest.approx(-1.0, abs=0.0)
 
 
@@ -205,8 +207,7 @@ def test_kkt_residual_of_projection_is_zero():
     problem = optimizer.Linearization(spec, mesh, u)
     assert np.array_equal(
         problem.projected_control,
-        _projection(mesh, problem.state, problem.adjoint,
-                    Bounds(spec.alpha, spec.beta), spec.nu))
+        _projection(mesh, problem.state, problem.adjoint, spec))
     assert problem.kkt_residual == \
         pytest.approx(l2_diff_p0(u, P0Field.zeros(mesh)), rel=1e-14)
 
@@ -215,8 +216,7 @@ def test_kkt_residual_single_element_perturbation():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(1)
     solution = optimizer.solve_ocp(spec, mesh)
-    projected = _projection(mesh, solution.state, solution.adjoint,
-                            Bounds(spec.alpha, spec.beta), spec.nu)
+    projected = _projection(mesh, solution.state, solution.adjoint, spec)
     values = solution.control.values.copy()
     interior = int(np.argmax((values > spec.alpha + 0.2) &
                              (values < spec.beta - 0.2)))
@@ -265,8 +265,7 @@ def test_solve_ocp_flagship_fixed_point_and_feasibility():
     assert sol.kkt_residual <= 1e-9
     assert np.all(sol.control.values >= spec.alpha)
     assert np.all(sol.control.values <= spec.beta)
-    projected = _projection(mesh, sol.state, sol.adjoint,
-                            Bounds(spec.alpha, spec.beta), spec.nu)
+    projected = _projection(mesh, sol.state, sol.adjoint, spec)
     assert l2_diff_p0(sol.control, P0Field(mesh, projected)) <= 1e-9
 
 
@@ -333,7 +332,6 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
     # the damped step u <- 0.5 u + 0.5 Proj(mean(y phi) / nu).
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
-    bounds = Bounds(spec.alpha, spec.beta)
     seen = []
 
     class Recording(optimizer.Linearization):
@@ -346,7 +344,7 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
                         lambda problem, rhs, *args: np.zeros_like(rhs))
     with pytest.raises(NonconvergenceError):
         optimizer.solve_ocp(spec, mesh, max_outer=6)
-    projected = [bounds.clamp(p.product_mean / spec.nu) for p in seen]
+    projected = [spec.clamp(p.product_mean / spec.nu) for p in seen]
     kkt = [l2_diff_p0(p.u, P0Field(mesh, q)) for p, q in zip(seen, projected)]
     assert len(seen) == 6
     assert kkt[1] < kkt[0]

@@ -270,7 +270,7 @@ def cosine_control(spec, mesh, rng):
 
 
 def test_level8_newton_step_accepted_at_precision_floor():
-    # At level 8 the LU step from y = 0 and its refinement stop near a
+    # At level 8 the solve of the step from y = 0 stops near a
     # relative residual of 1.2e-12 for this control; the test below holds
     # that solve to the precision floor.  Inside the state solve the
     # forcing term asks this step for 0.1 only, and the first Newton step
@@ -284,23 +284,11 @@ def test_level8_newton_step_accepted_at_precision_floor():
         pass
 
 
-class _CountingFactor:
-    """Factor wrapper that records each right-hand side and solution."""
-
-    def __init__(self, factor):
-        self.factor, self.solutions = factor, []
-
-    def solve(self, b):
-        x = self.factor.solve(b)
-        self.solutions.append(x)
-        return x
-
-
-def test_level8_refinement_returns_at_first_floor_step():
+def test_level8_solve_returns_at_first_floor_step(monkeypatch):
     # The pinned control of the precision-floor test above: the first Newton
-    # step's solve must return at the first refinement step whose
-    # componentwise backward error meets the floor, not chase the 1e-12
-    # normwise tolerance further.
+    # step's solve must return the first iterate whose componentwise
+    # backward error meets the floor, not chase the 1e-12 normwise
+    # tolerance further.
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(8)
     values = cosine_control(spec, mesh, np.random.default_rng(40))
@@ -310,13 +298,19 @@ def test_level8_refinement_returns_at_first_floor_step():
          - fem.assemble_volume_load(mesh, fem.at_points(
              spec.nonlinearity, fem.quadrature_points(mesh),
              y.at_quadrature())))
-    counting = _CountingFactor(op._factor())
-    op._factorization = counting
+    at_floor, iterates = SparseSymOperator._at_floor, []
+
+    def recording(self, x, *args):
+        iterates.append(x)
+        return at_floor(self, x, *args)
+
+    monkeypatch.setattr(SparseSymOperator, "_at_floor", recording)
     x = op.solve_spd(b, tol=1e-12)
+    if not iterates or iterates[-1] is not x:
+        iterates.append(x)  # accepted on tol, without the floor test
 
     matrix = op.matrix
     floor = (np.diff(matrix.indptr).max() + 1) * np.finfo(float).eps / 2
-    iterates = np.cumsum(counting.solutions, axis=0)
     met = []
     for iterate in iterates:
         r = b - matrix @ iterate
@@ -394,11 +388,12 @@ def test_cold_state_solve_factors_once(level, controls, newton_steps,
         factorizations.append(self)
         return factor(self)
 
-    def recording(self, *args, shared=False):
-        x, steps = solve_with(self, *args, shared=shared)
+    def recording(self, *args):
+        shared = self._factorization is None
+        x, history, last = solve_with(self, *args)
         if shared and x is None:
-            abandoned.append(steps)
-        return x, steps
+            abandoned.append(len(history))
+        return x, history, last
 
     monkeypatch.setattr(SparseSymOperator, "_factor", counting)
     monkeypatch.setattr(SparseSymOperator, "_solve_with", recording)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocfem import (Bounds, Linearization, Mesh, P0Field, P1Field,
+from ocfem import (Linearization, Mesh, P0Field, P1Field,
                    PostprocessedControl, TRIANGLE_RULE, assemble_stiffness,
                    assemble_weighted_mass, barycenters, fem,
                    build_unit_square_mesh, cost, get_preset, l2_diff_p0,
@@ -46,17 +46,18 @@ def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
     rng = np.random.default_rng(seed)
     y = scale * rng.uniform(-1.0, 1.0, fine.num_vertices)
     phi = rng.uniform(-1.0, 1.0, fine.num_vertices)
-    pp = PostprocessedControl(fine, P1Field(fine, y), P1Field(fine, phi),
-                              Bounds(alpha, alpha + width), nu)
+    spec = get_preset("paper-sec6").with_overrides(
+        alpha=alpha, beta=alpha + width, nu=nu)
+    pp = PostprocessedControl(spec, P1Field(fine, y), P1Field(fine, phi))
     points = np.concatenate([coarse.vertices[coarse.triangles],
                              barycenters(coarse)[:, None, :]],
                             axis=1).reshape(-1, 2)
     tri = locate(fine, points)
     lam = barycentric_coordinates(fine, tri, points)
     nodes = fine.triangles[tri]
-    located = pp.bounds.clamp(np.sum(y[nodes] * lam, axis=-1)
-                              * np.sum(phi[nodes] * lam, axis=-1)
-                              / nu).reshape(-1, 4)
+    located = spec.clamp(np.sum(y[nodes] * lam, axis=-1)
+                         * np.sum(phi[nodes] * lam, axis=-1)
+                         / nu).reshape(-1, 4)
     samples = pp.samples_on(coarse)
     assert np.array_equal(samples[:, :3], located[:, :3])
     # Barycentric coordinates at a barycenter carry round-off of order

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ocfem import (Bounds, CoercivityError, MeshSizeError,
+from ocfem import (CoercivityError, MeshSizeError,
                    NonconvergenceError, OcfemError, P1Field, barycenters,
                    build_unit_square_mesh, build_wh, classify_elements, eoc,
                    get_preset, PostprocessedControl, postprocess_error_cross,
@@ -12,14 +12,20 @@ from ocfem.linalg import SparseSymOperator
 from ocfem.mesh import barycentric_coordinates, locate
 
 
-def affine_control(mesh, bounds, c0, c1=0.0, c2=0.0, nu=0.5):
+def box(alpha, beta, nu=0.5):
+    """The flagship spec with the box [alpha, beta] and the weight nu."""
+    return get_preset("paper-sec6").with_overrides(alpha=alpha, beta=beta,
+                                                   nu=nu)
+
+
+def affine_control(mesh, spec, c0, c1=0.0, c2=0.0):
     """Post-processed control on ``mesh`` with nodal y = 1 and
     phi = nu (c0 + c1 x1 + c2 x2): y phi / nu is affine, so its vertex and
     barycenter samples are ``c0 + c1 x1 + c2 x2`` there, clamped."""
     x = mesh.vertices
-    phi = nu * (c0 + c1 * x[:, 0] + c2 * x[:, 1])
-    return PostprocessedControl(mesh, P1Field(mesh, np.ones(len(x))),
-                                P1Field(mesh, phi), bounds, nu)
+    phi = spec.nu * (c0 + c1 * x[:, 0] + c2 * x[:, 1])
+    return PostprocessedControl(spec, P1Field(mesh, np.ones(len(x))),
+                                P1Field(mesh, phi))
 
 
 def test_eoc_values():
@@ -32,9 +38,8 @@ def test_eoc_values():
 
 def test_postprocess_zero_state():
     mesh = build_unit_square_mesh(2)
-    pp = PostprocessedControl(mesh, P1Field.zeros(mesh),
-                              P1Field(mesh, np.ones(mesh.num_vertices)),
-                              Bounds(-1.0, 1.0), 0.05)
+    pp = PostprocessedControl(box(-1.0, 1.0, 0.05), P1Field.zeros(mesh),
+                              P1Field(mesh, np.ones(mesh.num_vertices)))
     assert np.array_equal(pp.samples_on(mesh),
                           np.zeros((mesh.num_triangles, 4)))
 
@@ -44,21 +49,20 @@ def test_postprocess_clamps():
     nu = 0.05
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
-    pp = PostprocessedControl(mesh, y, phi, Bounds(-1.0, 1.0), nu)
+    pp = PostprocessedControl(box(-1.0, 1.0, nu), y, phi)
     assert np.all(pp.samples_on(mesh) == 1.0)
 
 
 def test_postprocess_cross_error_on_constants():
     mesh = build_unit_square_mesh(2)
     child, pmap = refine(mesh)
-    nu = 1.0
-    bounds = Bounds(-10.0, 10.0)
+    spec = box(-10.0, 10.0, 1.0)
     pp_coarse = PostprocessedControl(
-        mesh, P1Field(mesh, np.ones(mesh.num_vertices)),
-        P1Field(mesh, np.full(mesh.num_vertices, 0.25)), bounds, nu)
+        spec, P1Field(mesh, np.ones(mesh.num_vertices)),
+        P1Field(mesh, np.full(mesh.num_vertices, 0.25)))
     pp_fine = PostprocessedControl(
-        child, P1Field(child, np.ones(child.num_vertices)),
-        P1Field(child, np.full(child.num_vertices, 0.75)), bounds, nu)
+        spec, P1Field(child, np.ones(child.num_vertices)),
+        P1Field(child, np.full(child.num_vertices, 0.75)))
     assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
                                    fem.prolong_p1(pmap, pp_coarse.adjoint),
                                    pp_fine) == pytest.approx(0.5, abs=1e-13)
@@ -66,22 +70,19 @@ def test_postprocess_cross_error_on_constants():
 
 def test_classify_all_active_and_all_inactive():
     mesh = build_unit_square_mesh(3)
-    bounds = Bounds(-1.0, 1.0)
-    at_bound = classify_elements(mesh, affine_control(mesh, bounds, -1.0),
-                                 bounds)
+    spec = box(-1.0, 1.0)
+    at_bound = classify_elements(mesh, affine_control(mesh, spec, -1.0))
     assert len(at_bound.t1) == 0
     assert at_bound.measure_t1 == 0.0
-    interior = classify_elements(mesh, affine_control(mesh, bounds, 0.0),
-                                 bounds)
+    interior = classify_elements(mesh, affine_control(mesh, spec, 0.0))
     assert len(interior.t1) == 0
     assert len(interior.t2) == mesh.num_triangles
 
 
 def test_classify_mixed_band():
     mesh = build_unit_square_mesh(4)
-    bounds = Bounds(-1.0, 1.0)
-    control = affine_control(mesh, bounds, 0.2, 2.0)
-    result = classify_elements(mesh, control, bounds)
+    control = affine_control(mesh, box(-1.0, 1.0), 0.2, 2.0)
+    result = classify_elements(mesh, control)
     # the control saturates at the upper bound for x1 >= 0.4; mixed
     # elements straddle that clamp line
     assert len(result.t1) > 0
@@ -93,17 +94,15 @@ def test_classify_mixed_band():
 
 def test_classify_tolerance_default_with_infinite_upper_bound():
     mesh = build_unit_square_mesh(2)
-    bounds = Bounds(-2.0, np.inf)
-    result = classify_elements(mesh, affine_control(mesh, bounds, 0.0),
-                               bounds)
+    result = classify_elements(mesh,
+                               affine_control(mesh, box(-2.0, np.inf), 0.0))
     assert result.tol_active == pytest.approx(2e-6)
 
 
 def test_build_wh_affine_all_pure():
     mesh = build_unit_square_mesh(3)
-    bounds = Bounds(-10.0, 10.0)
-    control = affine_control(mesh, bounds, 0.25, 0.5, -0.125)
-    classification = classify_elements(mesh, control, bounds)
+    control = affine_control(mesh, box(-10.0, 10.0), 0.25, 0.5, -0.125)
+    classification = classify_elements(mesh, control)
     assert len(classification.t1) == 0
     assert np.all(classification.sample == 3)
     field = build_wh(mesh, control, classification)
@@ -114,19 +113,18 @@ def test_build_wh_affine_all_pure():
 
 def test_build_wh_constant_control():
     mesh = build_unit_square_mesh(3)
-    bounds = Bounds(-1.0, 1.0)
-    mixed = affine_control(mesh, bounds, 0.2, 2.0)   # nonempty mixed set
-    classification = classify_elements(mesh, mixed, bounds)
+    spec = box(-1.0, 1.0)
+    mixed = affine_control(mesh, spec, 0.2, 2.0)   # nonempty mixed set
+    classification = classify_elements(mesh, mixed)
     assert len(classification.t1) > 0
-    field = build_wh(mesh, affine_control(mesh, bounds, 0.3), classification)
+    field = build_wh(mesh, affine_control(mesh, spec, 0.3), classification)
     assert field.values == pytest.approx(0.3, abs=0.0)
 
 
 def test_build_wh_uses_active_sample_on_mixed_elements():
     mesh = build_unit_square_mesh(4)
-    bounds = Bounds(-1.0, 1.0)
-    control = affine_control(mesh, bounds, 0.2, 2.0)
-    classification = classify_elements(mesh, control, bounds)
+    control = affine_control(mesh, box(-1.0, 1.0), 0.2, 2.0)
+    classification = classify_elements(mesh, control)
     assert np.all(classification.sample[classification.t1] < 3)
     field = build_wh(mesh, control, classification)
     assert np.all(np.abs(field.values[classification.t1] - 1.0) <= 1e-12)
@@ -151,13 +149,12 @@ def test_comparison_field_second_order_on_pure_elements():
         if i < len(maps):
             init = None
             state = None
-    bounds = Bounds(spec.alpha, spec.beta)
-    ref = PostprocessedControl(meshes[-1], solutions[-1].state,
-                               solutions[-1].adjoint, bounds, spec.nu)
+    ref = PostprocessedControl(spec, solutions[-1].state,
+                               solutions[-1].adjoint)
     gaps = []
     for i in (0, 1):
         mesh = meshes[i]
-        classification = classify_elements(mesh, ref, bounds)
+        classification = classify_elements(mesh, ref)
         wh = build_wh(mesh, ref, classification)
         diff = (solutions[i].control.values - wh.values)[classification.t2]
         gaps.append(float(np.sqrt(np.sum(
@@ -231,7 +228,7 @@ def test_run_study_attaches_partial_results_to_linear_solve_failure(
 
 def test_run_study_shares_factors_along_each_chain(monkeypatch):
     # Factoring every operator took 31 factorizations on levels 3..5; the
-    # operators of one solve_ocp call share their factor where refinement
+    # operators of one solve_ocp call share their factor where a solve
     # with it is accepted.
     factored = []
     real = SparseSymOperator._factor
@@ -266,9 +263,9 @@ def test_samples_on_match_located_values(hierarchy, level, k):
     coarse, fine = meshes[level], meshes[level + k]
     rng = np.random.default_rng(100 * level + k)
     pp = PostprocessedControl(
-        fine, P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
+        box(-0.6, 0.6, 0.8),
         P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
-        Bounds(-0.6, 0.6), 0.8)
+        P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)))
     # Oracle: locate each vertex and barycenter of ``coarse`` in ``fine``
     # and interpolate there by its barycentric coordinates.
     points = np.concatenate([coarse.vertices[coarse.triangles],
@@ -280,8 +277,8 @@ def test_samples_on_match_located_values(hierarchy, level, k):
     def located_at(field):
         return np.sum(field.values[fine.triangles[tri]] * lam, axis=-1)
 
-    located = pp.bounds.clamp(located_at(pp.state) * located_at(pp.adjoint)
-                              / pp.nu).reshape(-1, 4)
+    located = pp.spec.clamp(located_at(pp.state) * located_at(pp.adjoint)
+                            / pp.spec.nu).reshape(-1, 4)
     samples = pp.samples_on(coarse)
     assert samples.shape == (coarse.num_triangles, 4)
     assert np.any(np.abs(located) == 0.6)              # the clamp is hit
@@ -298,8 +295,8 @@ def test_samples_on_rejects_a_mesh_that_is_not_an_ancestor(hierarchy):
     meshes, _ = hierarchy
     mesh = meshes[3]
     values = np.zeros(mesh.num_vertices)
-    pp = PostprocessedControl(mesh, P1Field(mesh, values),
-                              P1Field(mesh, values), Bounds(-1.0, 1.0), 1.0)
+    pp = PostprocessedControl(box(-1.0, 1.0, 1.0), P1Field(mesh, values),
+                              P1Field(mesh, values))
     for other in (build_unit_square_mesh(2), build_unit_square_mesh(3),
                   meshes[4]):
         with pytest.raises(OcfemError):
@@ -312,13 +309,12 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
     meshes, maps = hierarchy
     coarse, fine, pmap = meshes[level], meshes[level + 1], maps[level]
     rng = np.random.default_rng(7 + level)
-    bounds, nu = Bounds(-0.5, 0.5), 0.7
+    spec = box(-0.5, 0.5, 0.7)
 
     def random_control(mesh):
         return PostprocessedControl(
-            mesh, P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
-            P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
-            bounds, nu)
+            spec, P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
+            P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)))
 
     pp_coarse, pp_fine = random_control(coarse), random_control(fine)
     # Reference: evaluate the coarse fields in the parent triangle of each
@@ -330,10 +326,10 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
     def coarse_at(field):
         return np.sum(field.values[coarse.triangles[parents]] * lam, axis=-1)
 
-    coarse_vals = bounds.clamp(coarse_at(pp_coarse.state) *
-                               coarse_at(pp_coarse.adjoint) / nu)
-    fine_vals = bounds.clamp(pp_fine.state.at_quadrature() *
-                             pp_fine.adjoint.at_quadrature() / nu)
+    coarse_vals = spec.clamp(coarse_at(pp_coarse.state) *
+                             coarse_at(pp_coarse.adjoint) / spec.nu)
+    fine_vals = spec.clamp(pp_fine.state.at_quadrature() *
+                           pp_fine.adjoint.at_quadrature() / spec.nu)
     d2 = (fine_vals - coarse_vals) ** 2
     expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
     assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
