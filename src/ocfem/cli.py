@@ -8,6 +8,7 @@ configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import resource
 import sys
 from dataclasses import dataclass
@@ -114,13 +115,8 @@ def format_csv_rows(records: List[study.StudyRecord]) -> List[str]:
     return rows
 
 
-def _write_lines(lines: List[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as handle:
-            handle.write(text)
+def _write_lines(lines: List[str], stream) -> None:
+    stream.write("\n".join(lines) + "\n")
 
 
 def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
@@ -145,7 +141,8 @@ def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     if cfg.out:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_lines(summary, str(out_dir / "summary.txt"))
+        with open(out_dir / "summary.txt", "w", newline="\n") as handle:
+            _write_lines(summary, handle)
         if cfg.emit_fields:
             with open(out_dir / "mesh.txt", "w", newline="\n") as handle:
                 mesh.write_text(handle)
@@ -171,13 +168,16 @@ def cmd_study(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
         print(f"level {level}: kkt={sol.kkt_residual:.3e} "
               f"iters={sol.outer_iterations}", file=sys.stderr)
 
-    try:
-        records = study.run_study(spec, *cfg.levels, progress=progress)
-    except (NonconvergenceError, LinearSolverError) as err:
-        _write_lines(format_csv_rows(err.report or []), cfg.out)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    _write_lines(format_csv_rows(records), cfg.out)
+    # Opened before the first level, so an unwritable path costs no level.
+    with (contextlib.nullcontext(sys.stdout) if cfg.out is None
+          else open(cfg.out, "w", newline="\n")) as stream:
+        try:
+            records = study.run_study(spec, *cfg.levels, progress=progress)
+        except (NonconvergenceError, LinearSolverError) as err:
+            _write_lines(format_csv_rows(err.report or []), stream)
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        _write_lines(format_csv_rows(records), stream)
     return 0
 
 
@@ -186,6 +186,12 @@ def _reference_triangle_mesh() -> Mesh:
     triangles = np.array([[0, 1, 2]])
     boundary = np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]])
     return Mesh(vertices, triangles, boundary, level=0)
+
+
+def _check_mesh(mesh: Mesh) -> str:
+    mesh.validate()
+    return (f"{mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
+            f"{len(mesh.boundary_edges)} boundary edges")
 
 
 def _check_quadrature() -> str:
@@ -315,6 +321,7 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
             fixture = err
 
     items = [
+        ("mesh-invariants", lambda: _check_mesh(mesh), False),
         ("quadrature-exactness", _check_quadrature, False),
         ("stiffness-reference", _check_stiffness_reference, False),
         ("projection-orthogonality", lambda: _check_projection(cfg.level),

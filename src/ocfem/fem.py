@@ -324,8 +324,8 @@ def l2_project_p0(mesh: Mesh, fn) -> P0Field:
 def integrate(mesh: Mesh, vals) -> float:
     """Quadrature value of ``int_Omega f`` for the quadrature values
     ``vals`` (nt, nq) of f."""
-    return float(mesh.areas @ (_quad_values(mesh, vals)
-                               @ TRIANGLE_RULE.weights))
+    return float(np.sum(mesh.areas * (_quad_values(mesh, vals)
+                                      @ TRIANGLE_RULE.weights)))
 
 
 def l2_diff_p0(a: P0Field, b: P0Field) -> float:
@@ -349,15 +349,20 @@ def linf_diff_p1(a: P1Field, b: P1Field) -> float:
 
 
 def prolong_p1(pmap: ProlongationMap, field: P1Field) -> P1Field:
+    """Exact prolongation: inherited vertices keep their values, and each
+    midpoint gets the mean of its parent edge's end values."""
     if field.mesh is not pmap.parent:
         raise MeshError("field does not live on the map's parent mesh")
-    return P1Field(pmap.child, pmap.prolong_p1_values(field.values))
+    v, m = field.values, pmap.midpoints
+    return P1Field(pmap.child,
+                   np.concatenate([v, 0.5 * (v[m[:, 0]] + v[m[:, 1]])]))
 
 
 def prolong_p0(pmap: ProlongationMap, field: P0Field) -> P0Field:
+    """Exact injection: the four children of a triangle take its value."""
     if field.mesh is not pmap.parent:
         raise MeshError("field does not live on the map's parent mesh")
-    return P0Field(pmap.child, pmap.prolong_p0_values(field.values))
+    return P0Field(pmap.child, np.repeat(field.values, 4))
 
 
 def l2_diff_p1_cross(pmap: ProlongationMap, coarse: P1Field,

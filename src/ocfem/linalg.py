@@ -25,7 +25,9 @@ That error is not formed where ``||r|| > 2 floor (N ||x|| + ||b||)`` rules
 it out, N the largest row or column sum of |A| (a bound on its 2-norm).
 The iteration takes at most twenty steps (fewer triangular solves than one
 factorization costs) and stops early only when a step does not lower the
-residual.
+residual.  Its inner products and norms are numpy sums of products, not
+BLAS ``dot``/``nrm2``, which split long vectors across threads: the bits
+of a solve do not depend on the BLAS thread count.
 
 Every operator holds a ``FactorSlot``: its own, or one shared by a chain of
 nearby operators (a Newton iteration, an outer optimization loop), which
@@ -39,6 +41,8 @@ raises LinearSolverError with the residual history.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -47,6 +51,12 @@ from .errors import CoercivityError, LinearSolverError
 
 _STEPS = 20  # below the ~25 triangular solves a factorization costs
 _SLOW_STEPS = 5  # a slower shared solve factors before the next one
+
+
+def norm(x: np.ndarray) -> float:
+    """Euclidean norm of the vector ``x``, the same under any BLAS thread
+    count (see the module docstring)."""
+    return math.sqrt(float(np.sum(x * x)))
 
 
 class _PermutedFactor:
@@ -131,7 +141,7 @@ class SparseSymOperator:
             a = abs(self.matrix)
             self._abs_norm = float(max(a.sum(axis=0).max(),
                                        a.sum(axis=1).max()))
-        bound = self._abs_norm * float(np.linalg.norm(x)) + norm_b
+        bound = self._abs_norm * norm(x) + norm_b
         return (norm_r <= 2.0 * self._floor * bound
                 and self._backward_error(x, r, b) <= self._floor)
 
@@ -144,14 +154,14 @@ class SparseSymOperator:
         r, history = b, []
         while len(history) < _STEPS:
             step = factor.solve(r)
-            rz = float(r @ step)
+            rz = float(np.sum(r * step))
             if p is not None:  # the next conjugate direction
                 step += rz / rz_prev * p
             p, rz_prev = step, rz
-            step = rz / float(p @ (self.matrix @ p)) * p
+            step = rz / float(np.sum(p * (self.matrix @ p))) * p
             x = step if x is None else x + step
             r = b - self.matrix @ x
-            norm_r = float(np.linalg.norm(r))
+            norm_r = norm(r)
             res = norm_r / norm_b
             if history and not res < history[-1]:
                 break
@@ -169,7 +179,7 @@ class SparseSymOperator:
         if b.shape != (self.n,):
             raise LinearSolverError(
                 f"dimension mismatch: operator is {self.n}, rhs is {b.shape}")
-        norm_b = float(np.linalg.norm(b))
+        norm_b = norm(b)
         if norm_b == 0.0:
             return np.zeros(self.n)
         if self._factorization is None:

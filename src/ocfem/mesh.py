@@ -9,8 +9,9 @@ Conventions
   (row, column), row being the x2-index.
 * ``refine`` keeps parent vertex ``v`` at index ``v`` and emits the four
   children of parent triangle ``t`` at indices ``4*t .. 4*t+3``, child 3
-  being the middle one, with its parent's barycenter.  Point location and
-  the study's sampling of the finest level by index rely on this layout.
+  being the middle one, with its parent's barycenter.  Prolongation in
+  ``fem``, point location and the study's sampling of the finest level by
+  index rely on this layout.
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
@@ -137,39 +138,19 @@ class Mesh:
 
 
 class ProlongationMap:
-    """Exact interpolation data from a mesh to its red refinement.
+    """A mesh, its red refinement, and ``midpoints``: the (ne, 2) parent
+    vertices of each new midpoint, child vertex ``nv + k`` for row ``k``.
 
-    ``node_parents``/``node_weights`` give, for every child node, a two-node
-    stencil over parent nodes (a vertex inherited from the parent carries
-    weight (1, 0); an edge midpoint carries (1/2, 1/2)).  ``element_map``
-    gives the parent triangle of every child triangle.
+    With ``refine``'s layout this is all that exact prolongation needs: a
+    parent vertex keeps its index and parent triangle ``t`` has the
+    children ``4t..4t+3`` (see ``fem.prolong_p1`` and ``fem.prolong_p0``).
     """
 
-    def __init__(self, parent: Mesh, child: Mesh, node_parents, node_weights,
-                 element_map):
+    def __init__(self, parent: Mesh, child: Mesh, midpoints):
         self.parent = parent
         self.child = child
-        self.node_parents = np.ascontiguousarray(node_parents,
-                                                 dtype=_INDEX_DTYPE)
-        self.node_weights = np.ascontiguousarray(node_weights, dtype=float)
-        self.element_map = np.ascontiguousarray(element_map,
-                                                dtype=_INDEX_DTYPE)
-        for arr in (self.node_parents, self.node_weights, self.element_map):
-            arr.setflags(write=False)
-
-    def prolong_p1_values(self, values: np.ndarray) -> np.ndarray:
-        """Prolong parent nodal values; exact at every child node."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.parent.num_vertices,):
-            raise MeshError("nodal value length does not match parent mesh")
-        return np.sum(values[self.node_parents] * self.node_weights, axis=1)
-
-    def prolong_p0_values(self, values: np.ndarray) -> np.ndarray:
-        """Prolong parent element values by exact injection."""
-        values = np.asarray(values)
-        if values.shape != (self.parent.num_triangles,):
-            raise MeshError("element value length does not match parent mesh")
-        return values[self.element_map]
+        self.midpoints = np.ascontiguousarray(midpoints, dtype=_INDEX_DTYPE)
+        self.midpoints.setflags(write=False)
 
 
 def check_level(level: int) -> None:
@@ -230,8 +211,8 @@ def refine(mesh: Mesh):
     edges follow in sorted edge order.  Parent triangle ``t`` ``[a, b, c]``
     has the children ``[a, m01, m20]``, ``[m01, b, m12]``,
     ``[m20, m12, c]`` and the middle ``[m01, m12, m20]`` at ``4t..4t+3``;
-    the middle child has its parent's barycenter.  The study's samples of
-    the finest level on coarser ones rely on both facts.
+    the middle child has its parent's barycenter.  Prolongation and the
+    study's samples of the finest level on coarser ones rely on both facts.
 
     Returns
     -------
@@ -262,7 +243,6 @@ def refine(mesh: Mesh):
     children[1::4] = np.column_stack([m01, b, m12])
     children[2::4] = np.column_stack([m20, m12, c])
     children[3::4] = np.column_stack([m01, m12, m20])
-    element_map = np.repeat(np.arange(nt, dtype=_INDEX_DTYPE), 4)
 
     # Each boundary edge (v0, v1) of triangle t splits at its midpoint m
     # into (v0, m) and (m, v1), owned by the corner children of v0 and v1.
@@ -276,20 +256,9 @@ def refine(mesh: Mesh):
     boundary_edges[0::2] = np.column_stack([v0, m, child0, marker])
     boundary_edges[1::2] = np.column_stack([m, v1, child1, marker])
 
-    node_parents = np.concatenate([
-        np.column_stack([np.arange(nv), np.arange(nv)]),
-        uniq,
-    ])
-    node_weights = np.concatenate([
-        np.tile([1.0, 0.0], (nv, 1)),
-        np.tile([0.5, 0.5], (len(uniq), 1)),
-    ])
-
     child = Mesh(vertices, children, boundary_edges, mesh.level + 1,
                  _parent=mesh)
-    pmap = ProlongationMap(mesh, child, node_parents, node_weights,
-                           element_map)
-    return child, pmap
+    return child, ProlongationMap(mesh, child, uniq)
 
 
 def _edge_keys(edges, nv: int) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from . import fem
 from .errors import AdmissibilityError, NonconvergenceError
 from .fem import P0Field, P1Field
-from .linalg import FactorSlot, SparseSymOperator
+from .linalg import FactorSlot, SparseSymOperator, norm
 from .mesh import Mesh
 
 
@@ -154,7 +154,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     if slot is None:
         slot = FactorSlot()
     load = fem.assemble_boundary_load(mesh, spec.boundary_flux)
-    scale = 1.0 + float(np.linalg.norm(load))
+    scale = 1.0 + norm(load)
     pts = fem.quadrature_points(mesh)
 
     def residual(values):
@@ -169,7 +169,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     y = np.zeros(mesh.num_vertices) if init is None else init.values.copy()
     report = SolveReport()
     f = residual(y)
-    norm_f = float(np.linalg.norm(f))
+    norm_f = norm(f)
     while norm_f > tol * scale:
         if report.iterations == max_iterations:
             report.residual = norm_f
@@ -184,7 +184,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
         for _ in range(30):
             y_trial = y + step * delta
             f_trial = residual(y_trial)
-            norm_trial = float(np.linalg.norm(f_trial))
+            norm_trial = norm(f_trial)
             if norm_trial < norm_f or norm_trial <= tol * scale:
                 break
             step *= 0.5

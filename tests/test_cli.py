@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ocfem
+from ocfem import MeshError
 from ocfem.cli import RunConfig, main, parse_levels
 
 
@@ -262,9 +268,38 @@ def test_study_oversized_range_exit_2_before_any_mesh(capsys, monkeypatch):
 def test_unwritable_out_exit_2(command, out, tmp_path, capsys):
     (tmp_path / "a-file").write_text("")
     assert run_cli(command + ["--out", str(tmp_path / out)]) == 2
+    # One error line: the study opens its output before the first level.
     err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if not line.startswith("level ")] == err[-1:]
-    assert err[-1].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_check_reports_a_broken_mesh(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+
+    def broken(mesh):
+        raise MeshError("boundary edge list does not match topology")
+
+    monkeypatch.setattr(cli_mod.Mesh, "validate", broken)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
+    assert ("FAIL mesh-invariants: boundary edge list does not match "
+            "topology") in capsys.readouterr().out.splitlines()
+
+
+def test_solve_output_is_the_same_under_one_and_two_blas_threads():
+    # OpenBLAS splits the dot products and norms of long vectors across its
+    # threads, so any of them on the solve path of level 7 (16,641
+    # vertices) would make the printed digits depend on the thread count.
+    src = str(Path(ocfem.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run(
+            [sys.executable, "-m", "ocfem.cli", "solve", "--level", "7"],
+            env=env, capture_output=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _record_linearizations(monkeypatch):
@@ -284,7 +319,7 @@ def test_check_builds_one_linearization(capsys, monkeypatch):
     seen = _record_linearizations(monkeypatch)
     assert run_cli(["check", "--preset", "paper-sec6", "--level", "3"]) == 0
     assert len(seen) == 1
-    assert capsys.readouterr().out.count("PASS") == 8
+    assert capsys.readouterr().out.count("PASS") == 9
 
 
 def test_check_inadmissible_builds_no_linearization(capsys, monkeypatch):

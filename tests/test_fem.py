@@ -19,7 +19,7 @@ from ocfem import (Mesh, MeshError, OcfemError, P0Field, P1Field,
                    assemble_volume_load, assemble_weighted_mass, barycenters,
                    build_unit_square_mesh, integrate, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
-                   l2_project_p0, linf_diff_p1, refine)
+                   l2_project_p0, linf_diff_p1, prolong_p0, refine)
 from ocfem import fem, get_preset, pde
 from ocfem.linalg import SparseSymOperator
 
@@ -266,7 +266,7 @@ def test_cross_level_norms_exact_on_polynomials():
     assert l2_diff_p1_cross(pmap, coarse, fine) == \
         pytest.approx(0.25, abs=1e-12)
     u = l2_project_p0(mesh, lambda x: x[..., 0])
-    v = P0Field(child, pmap.prolong_p0_values(u.values) + 0.5)
+    v = P0Field(child, prolong_p0(pmap, u).values + 0.5)
     assert l2_diff_p0_cross(pmap, u, v) == pytest.approx(0.5, abs=1e-12)
 
 

@@ -73,11 +73,24 @@ def test_prolongation_keeps_the_l2_norm(hierarchy, level, seed, scale):
     mesh, child, pmap = meshes[level], meshes[level + 1], maps[level]
     rng = np.random.default_rng(seed)
     p1 = P1Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_vertices))
-    assert l2_diff_p1(prolong_p1(pmap, p1), P1Field.zeros(child)) == \
+    fine = prolong_p1(pmap, p1)
+    assert l2_diff_p1(fine, P1Field.zeros(child)) == \
         pytest.approx(l2_diff_p1(p1, P1Field.zeros(mesh)), rel=1e-13)
+    # Bit for bit: inherited vertices keep their values, and each midpoint,
+    # placed between the two parent vertices the map names, takes the
+    # half-sum of their values.
+    nv, ends = mesh.num_vertices, pmap.midpoints
+    assert np.array_equal(child.vertices[nv:], (mesh.vertices[ends[:, 0]]
+                                                + mesh.vertices[ends[:, 1]]) / 2)
+    assert np.array_equal(fine.values[:nv], p1.values)
+    assert np.array_equal(fine.values[nv:], (p1.values[ends[:, 0]]
+                                             + p1.values[ends[:, 1]]) / 2)
     p0 = P0Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_triangles))
-    assert l2_diff_p0(prolong_p0(pmap, p0), P0Field.zeros(child)) == \
+    fine = prolong_p0(pmap, p0)
+    assert l2_diff_p0(fine, P0Field.zeros(child)) == \
         pytest.approx(l2_diff_p0(p0, P0Field.zeros(mesh)), rel=1e-13)
+    assert np.array_equal(fine.values,
+                          p0.values[np.arange(child.num_triangles) // 4])
 
 
 @deterministic
