@@ -13,8 +13,7 @@ from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
                   l2_project_p0, linf_diff_p1, prolong_p0, prolong_p1)
 from .linalg import SparseSymOperator
-from .mesh import (Mesh, ProlongationMap, barycenters,
-                   build_unit_square_mesh, refine)
+from .mesh import Mesh, barycenters, build_unit_square_mesh, refine
 from .optimizer import Linearization, OcpSolution, cost, solve_ocp
 from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .errors import MeshError, OcfemError
 from .linalg import FactorSlot, SparseSymOperator
-from .mesh import Mesh, ProlongationMap
+from .mesh import Mesh
 
 
 @dataclass(frozen=True)
@@ -348,35 +348,33 @@ def linf_diff_p1(a: P1Field, b: P1Field) -> float:
     return float(np.max(np.abs(a.values - b.values))) if len(a.values) else 0.0
 
 
-def prolong_p1(pmap: ProlongationMap, field: P1Field) -> P1Field:
-    """Exact prolongation: inherited vertices keep their values, and each
-    midpoint gets the mean of its parent edge's end values."""
-    if field.mesh is not pmap.parent:
-        raise MeshError("field does not live on the map's parent mesh")
-    v, m = field.values, pmap.midpoints
-    return P1Field(pmap.child,
-                   np.concatenate([v, 0.5 * (v[m[:, 0]] + v[m[:, 1]])]))
+def prolong_p1(child: Mesh, field: P1Field) -> P1Field:
+    """Exact prolongation to the refinement ``child`` of the field's mesh:
+    inherited vertices keep their values, and each midpoint gets the mean
+    of its parent edge's end values."""
+    if child.parent is not field.mesh:
+        raise MeshError("field does not live on the target's parent mesh")
+    v, m = field.values, child.midpoints
+    return P1Field(child, np.concatenate([v, 0.5 * (v[m[:, 0]] + v[m[:, 1]])]))
 
 
-def prolong_p0(pmap: ProlongationMap, field: P0Field) -> P0Field:
+def prolong_p0(child: Mesh, field: P0Field) -> P0Field:
     """Exact injection: the four children of a triangle take its value."""
-    if field.mesh is not pmap.parent:
-        raise MeshError("field does not live on the map's parent mesh")
-    return P0Field(pmap.child, np.repeat(field.values, 4))
+    if child.parent is not field.mesh:
+        raise MeshError("field does not live on the target's parent mesh")
+    return P0Field(child, np.repeat(field.values, 4))
 
 
-def l2_diff_p1_cross(pmap: ProlongationMap, coarse: P1Field,
-                     fine: P1Field) -> float:
+def l2_diff_p1_cross(coarse: P1Field, fine: P1Field) -> float:
     """Exact L2 difference across one refinement level (prolong, then norm)."""
-    return l2_diff_p1(prolong_p1(pmap, coarse), fine)
+    return l2_diff_p1(prolong_p1(fine.mesh, coarse), fine)
 
 
-def l2_diff_p0_cross(pmap: ProlongationMap, coarse: P0Field,
-                     fine: P0Field) -> float:
-    return l2_diff_p0(prolong_p0(pmap, coarse), fine)
+def l2_diff_p0_cross(coarse: P0Field, fine: P0Field) -> float:
+    return l2_diff_p0(prolong_p0(fine.mesh, coarse), fine)
 
 
 def _require_same_mesh(a, b):
     if a.mesh is not b.mesh:
         raise MeshError("fields live on different meshes; "
-                        "use a ProlongationMap-based cross-level norm")
+                        "use a cross-level norm for consecutive levels")

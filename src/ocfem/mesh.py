@@ -9,9 +9,10 @@ Conventions
   (row, column), row being the x2-index.
 * ``refine`` keeps parent vertex ``v`` at index ``v`` and emits the four
   children of parent triangle ``t`` at indices ``4*t .. 4*t+3``, child 3
-  being the middle one, with its parent's barycenter.  Prolongation in
-  ``fem``, point location and the study's sampling of the finest level by
-  index rely on this layout.
+  being the middle one, with its parent's barycenter.  The refined mesh
+  records its ``parent`` and the two parent vertices of each new midpoint
+  (``midpoints``).  Prolongation in ``fem``, point location and the
+  study's sampling of the finest level by index rely on this layout.
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
@@ -49,10 +50,13 @@ class Mesh:
         Gradients of the three barycentric coordinate functions.
     parent : Mesh or None
         Mesh this one was refined from, if any.
+    midpoints : (ne, 2) int array or None
+        The two parent vertices of each new midpoint, vertex
+        ``parent.num_vertices + k`` for row ``k``; None on a root mesh.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, level,
-                 _structure=None, _parent=None):
+                 _structure=None, _parent=None, _midpoints=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=_INDEX_DTYPE)
         self.boundary_edges = np.ascontiguousarray(boundary_edges,
@@ -86,9 +90,12 @@ class Mesh:
 
         self._structure = _structure
         self.parent = _parent
+        self.midpoints = None if _midpoints is None else \
+            np.ascontiguousarray(_midpoints, dtype=_INDEX_DTYPE)
         for arr in (self.vertices, self.triangles, self.boundary_edges,
-                    self.areas, self.grads):
-            arr.setflags(write=False)
+                    self.areas, self.grads, self.midpoints):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -112,6 +119,8 @@ class Mesh:
         # The key of an out-of-range vertex could alias another edge's key.
         if np.any((ends < 0) | (ends >= nv)):
             raise MeshError("boundary edge index outside the vertex range")
+        if np.any((owner < 0) | (owner >= len(tri))):
+            raise MeshError("boundary edge owner outside the triangle range")
         bkeys = _edge_keys(ends, nv)
         interior = keys[counts == 2]
         at = np.minimum(np.searchsorted(interior, bkeys), len(interior) - 1)
@@ -135,22 +144,6 @@ class Mesh:
             stream.write(f"{a} {b} {c}\n")
         for v0, v1, t, m in self.boundary_edges:
             stream.write(f"{v0} {v1} {t} {m}\n")
-
-
-class ProlongationMap:
-    """A mesh, its red refinement, and ``midpoints``: the (ne, 2) parent
-    vertices of each new midpoint, child vertex ``nv + k`` for row ``k``.
-
-    With ``refine``'s layout this is all that exact prolongation needs: a
-    parent vertex keeps its index and parent triangle ``t`` has the
-    children ``4t..4t+3`` (see ``fem.prolong_p1`` and ``fem.prolong_p0``).
-    """
-
-    def __init__(self, parent: Mesh, child: Mesh, midpoints):
-        self.parent = parent
-        self.child = child
-        self.midpoints = np.ascontiguousarray(midpoints, dtype=_INDEX_DTYPE)
-        self.midpoints.setflags(write=False)
 
 
 def check_level(level: int) -> None:
@@ -204,7 +197,7 @@ def build_unit_square_mesh(level: int) -> Mesh:
                 _structure=("unit_square", n))
 
 
-def refine(mesh: Mesh):
+def refine(mesh: Mesh) -> Mesh:
     """Red refinement: split every triangle into 4 congruent children.
 
     Parent vertex ``v`` keeps index ``v``; the midpoints of the parent's
@@ -213,11 +206,8 @@ def refine(mesh: Mesh):
     ``[m20, m12, c]`` and the middle ``[m01, m12, m20]`` at ``4t..4t+3``;
     the middle child has its parent's barycenter.  Prolongation and the
     study's samples of the finest level on coarser ones rely on both facts.
-
-    Returns
-    -------
-    (Mesh, ProlongationMap)
-        The refined mesh and the exact prolongation data.
+    The child's ``parent`` is ``mesh`` and its ``midpoints`` are the sorted
+    edges, the two parent vertices of each midpoint.
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
     index_max = np.iinfo(_INDEX_DTYPE).max
@@ -256,9 +246,8 @@ def refine(mesh: Mesh):
     boundary_edges[0::2] = np.column_stack([v0, m, child0, marker])
     boundary_edges[1::2] = np.column_stack([m, v1, child1, marker])
 
-    child = Mesh(vertices, children, boundary_edges, mesh.level + 1,
-                 _parent=mesh)
-    return child, ProlongationMap(mesh, child, uniq)
+    return Mesh(vertices, children, boundary_edges, mesh.level + 1,
+                _parent=mesh, _midpoints=uniq)
 
 
 def _edge_keys(edges, nv: int) -> np.ndarray:

@@ -152,8 +152,7 @@ _CG_TOL = 1e-10
 _CG_MAX_ITERATIONS = 200
 
 
-def _reduced_cg(problem, rhs, inactive, areas, tol=_CG_TOL,
-                max_iterations=_CG_MAX_ITERATIONS):
+def _reduced_cg(problem, rhs, inactive, areas):
     """CG on the inactive block of the Hessian in the elementwise L2 inner
     product, preconditioned by 1/nu.  Truncated on indefiniteness."""
     nu = problem.spec.nu
@@ -165,7 +164,7 @@ def _reduced_cg(problem, rhs, inactive, areas, tol=_CG_TOL,
     z = r / nu
     p = z.copy()
     rz = float(np.sum(areas * r * z))
-    for _ in range(max_iterations):
+    for _ in range(_CG_MAX_ITERATIONS):
         hp = problem.hessian_apply_values(p)
         hp = np.where(inactive, hp, 0.0)
         php = float(np.sum(areas * p * hp))
@@ -177,7 +176,7 @@ def _reduced_cg(problem, rhs, inactive, areas, tol=_CG_TOL,
         x += alpha * p
         r -= alpha * hp
         res = math.sqrt(float(np.sum(areas * r * r)))
-        if res <= tol * rhs_norm:
+        if res <= _CG_TOL * rhs_norm:
             break
         z = r / nu
         rz_new = float(np.sum(areas * r * z))

@@ -28,9 +28,8 @@ import numpy as np
 
 from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
-from .fem import P0Field, P1Field, TRIANGLE_RULE
-from .mesh import (Mesh, ProlongationMap, build_unit_square_mesh,
-                   check_level, refine)
+from .fem import P0Field, P1Field
+from .mesh import Mesh, build_unit_square_mesh, check_level, refine
 from .optimizer import OcpSolution
 
 
@@ -121,8 +120,7 @@ def postprocess_error_cross(state: P1Field, adjoint: P1Field,
                                   fine.adjoint.at_quadrature())
     coarse_vals = fine._from_values(state.at_quadrature(),
                                     adjoint.at_quadrature())
-    d2 = (fine_vals - coarse_vals) ** 2
-    return float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
+    return math.sqrt(fem.integrate(mesh, (fine_vals - coarse_vals) ** 2))
 
 
 @dataclass
@@ -192,11 +190,8 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
         raise OcfemError("levels must satisfy 0 <= j_min < j_max")
     check_level(j_max)
     meshes = [build_unit_square_mesh(j_min)]
-    maps: List[ProlongationMap] = []
     for _ in range(j_min, j_max):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
+        meshes.append(refine(meshes[-1]))
 
     solutions: List[OcpSolution] = []
     # Each level's control, state and adjoint, prolonged to the next level.
@@ -217,11 +212,11 @@ def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
         solutions.append(sol)
         if progress is not None:
             progress(level, sol)
-        if idx < len(maps):
-            pmap = maps[idx]
-            prolonged.append((fem.prolong_p0(pmap, sol.control),
-                              fem.prolong_p1(pmap, sol.state),
-                              fem.prolong_p1(pmap, sol.adjoint)))
+        if idx + 1 < len(meshes):
+            child = meshes[idx + 1]
+            prolonged.append((fem.prolong_p0(child, sol.control),
+                              fem.prolong_p1(child, sol.state),
+                              fem.prolong_p1(child, sol.adjoint)))
     return _build_records(spec, meshes, solutions, prolonged, j_min)
 
 

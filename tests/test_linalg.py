@@ -146,7 +146,7 @@ def level6_meshes():
     """Level 6 built directly, and refined from level 2 (another numbering)."""
     refined = build_unit_square_mesh(2)
     for _ in range(4):
-        refined, _ = refine(refined)
+        refined = refine(refined)
     return {"direct": build_unit_square_mesh(6), "refined": refined}
 
 

@@ -83,7 +83,7 @@ def test_boundary_edges_belong_to_owner():
 
 
 def test_refine_matches_direct_build():
-    child, _ = refine(build_unit_square_mesh(3))
+    child = refine(build_unit_square_mesh(3))
     child.validate()
     assert canonical_triangles(child) == \
         canonical_triangles(build_unit_square_mesh(4))
@@ -91,41 +91,56 @@ def test_refine_matches_direct_build():
 
 def test_double_refine_matches_two_level_build():
     mesh = build_unit_square_mesh(2)
-    once, _ = refine(mesh)
-    twice, _ = refine(once)
+    once = refine(mesh)
+    twice = refine(once)
     assert canonical_triangles(twice) == \
         canonical_triangles(build_unit_square_mesh(4))
 
 
 def test_refine_halves_h():
     mesh = build_unit_square_mesh(3)
-    child, _ = refine(mesh)
+    child = refine(mesh)
     assert child.h == pytest.approx(mesh.h / 2.0, rel=1e-14)
 
 
 def test_prolongation_p1_exact_for_linear():
     mesh = build_unit_square_mesh(3)
-    child, pmap = refine(mesh)
+    child = refine(mesh)
     field = P1Field(mesh, mesh.vertices[:, 0])
-    fine = prolong_p1(pmap, field)
+    fine = prolong_p1(child, field)
     assert np.max(np.abs(fine.values - child.vertices[:, 0])) <= 1e-15
 
 
 def test_prolongation_p0_is_exact_injection():
     mesh = build_unit_square_mesh(2)
-    _, pmap = refine(mesh)
+    child = refine(mesh)
     rng = np.random.default_rng(3)
     coarse = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    fine = prolong_p0(pmap, coarse)
+    fine = prolong_p0(child, coarse)
     pulled = fine.values[::4], fine.values[1::4], fine.values[2::4], \
         fine.values[3::4]
     for block in pulled:
         assert np.array_equal(block, coarse.values)
 
 
+@pytest.mark.parametrize("prolong, field_type",
+                         [(prolong_p1, P1Field), (prolong_p0, P0Field)])
+@pytest.mark.parametrize("target", ["root", "grandchild"])
+def test_prolongation_refuses_a_mesh_not_refined_from_the_field(
+        prolong, field_type, target):
+    mesh = build_unit_square_mesh(1)
+    child = refine(mesh)
+    # A root of the child's size, or a refinement two levels down.
+    wrong = {"root": build_unit_square_mesh(2),
+             "grandchild": refine(child)}[target]
+    with pytest.raises(MeshError, match="parent mesh"):
+        prolong(wrong, field_type.zeros(mesh))
+    assert prolong(child, field_type.zeros(mesh)).mesh is child
+
+
 def test_nestedness_every_child_inside_parent():
     mesh = build_unit_square_mesh(2)
-    child, pmap = refine(mesh)
+    child = refine(mesh)
     centers = barycenters(child)
     parents = np.arange(child.num_triangles) // 4
     lam = barycentric_coordinates(mesh, parents, centers)
@@ -177,29 +192,29 @@ def test_refine_refuses_child_triangle_indices_beyond_int32():
 def _refined_chain(levels):
     mesh = build_unit_square_mesh(0)
     for _ in range(levels):
-        child, pmap = refine(mesh)
-        yield mesh, child, pmap
+        child = refine(mesh)
+        yield mesh, child
         mesh = child
 
 
 @pytest.mark.parametrize("level", range(7))
 def test_refine_keeps_parent_vertex_indices(level):
     mesh = build_unit_square_mesh(level)
-    child, _ = refine(mesh)
+    child = refine(mesh)
     assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
 
 
 def test_middle_child_has_parent_barycenter():
     # Dyadic coordinates: the vertex sums are exact, so the barycenters are
     # equal bit for bit.
-    for mesh, child, _ in _refined_chain(7):
+    for mesh, child in _refined_chain(7):
         assert np.array_equal(barycenters(child)[3::4], barycenters(mesh))
 
 
 @pytest.mark.parametrize("level", range(7))
 def test_refined_boundary_edges_split_at_midpoints(level):
     mesh = build_unit_square_mesh(level)
-    child, _ = refine(mesh)
+    child = refine(mesh)
     child.validate()
     first, second = child.boundary_edges[0::2], child.boundary_edges[1::2]
     v0, v1, owner, marker = mesh.boundary_edges.T
@@ -233,16 +248,19 @@ def _reference_refinement(mesh):
 
 
 def test_refine_matches_row_wise_edge_dedup():
-    for mesh, child, pmap in _refined_chain(6):
+    assert build_unit_square_mesh(0).midpoints is None
+    for mesh, child in _refined_chain(6):
         uniq, mid, bedges = _reference_refinement(mesh)
-        assert np.array_equal(pmap.midpoints, uniq)
+        assert child.parent is mesh
+        assert np.array_equal(child.midpoints, uniq)
+        assert not child.midpoints.flags.writeable
         assert np.array_equal(child.triangles[3::4], mid.T)
         assert np.array_equal(child.boundary_edges, bedges)
 
 
 def test_locate_structured_and_refined():
     mesh = build_unit_square_mesh(3)
-    child, _ = refine(mesh)
+    child = refine(mesh)
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
     for m in (mesh, child):
@@ -324,6 +342,15 @@ def test_validate_rejects_a_boundary_vertex_out_of_range(vertex):
     edges = build_unit_square_mesh(0).boundary_edges.copy()
     edges[0, 1] = vertex
     with pytest.raises(MeshError, match="outside the vertex range"):
+        _unit_square_with(edges).validate()
+
+
+@pytest.mark.parametrize("owner", [2, -1, -2])
+def test_validate_rejects_a_boundary_owner_out_of_range(owner):
+    # nt = 2: -2 would wrap around to the edge's true owner, triangle 0.
+    edges = build_unit_square_mesh(0).boundary_edges.copy()
+    edges[0, 2] = owner
+    with pytest.raises(MeshError, match="outside the triangle range"):
         _unit_square_with(edges).validate()
 
 

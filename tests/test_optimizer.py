@@ -321,8 +321,7 @@ def test_reduced_cg_negative_curvature_returns_preconditioned_residual():
     rhs = np.array([1.0, -2.0, 0.5, 3.0])
     inactive = np.array([True, True, False, True])
     r = np.where(inactive, rhs, 0.0)
-    step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25),
-                                 tol=1e-10, max_iterations=50)
+    step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25))
     assert np.array_equal(step, r / problem.spec.nu)
 
 

@@ -67,19 +67,16 @@ def test_state_self_convergence_second_order():
     max-norm error drops at least at the first-order guaranteed rate."""
     spec = get_preset("paper-sec6")
     meshes = [build_unit_square_mesh(3)]
-    maps = []
     for _ in range(4):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
+        meshes.append(refine(meshes[-1]))
     states = []
     for mesh in meshes:
         y, _ = pde.solve_state(spec, mesh, P0Field.zeros(mesh))
         states.append(y)
 
     def on_finest(i, field):
-        for k in range(i, len(maps)):
-            field = prolong_p1(maps[k], field)
+        for child in meshes[i + 1:]:
+            field = prolong_p1(child, field)
         return field
 
     sup_norms = [np.max(np.abs(y.values)) for y in states]
@@ -97,11 +94,8 @@ def test_state_self_convergence_second_order():
 def test_adjoint_self_convergence_second_order():
     spec = get_preset("paper-sec6")
     meshes = [build_unit_square_mesh(3)]
-    maps = []
     for _ in range(4):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
+        meshes.append(refine(meshes[-1]))
     adjoints = []
     for mesh in meshes:
         u = P0Field.zeros(mesh)
@@ -110,8 +104,8 @@ def test_adjoint_self_convergence_second_order():
         adjoints.append(pde.solve_adjoint(spec, operator, y))
 
     def on_finest(i, field):
-        for k in range(i, len(maps)):
-            field = prolong_p1(maps[k], field)
+        for child in meshes[i + 1:]:
+            field = prolong_p1(child, field)
         return field
 
     ref = adjoints[-1]

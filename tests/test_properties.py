@@ -25,14 +25,11 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 @pytest.fixture(scope="module")
 def hierarchy():
-    """Meshes of levels 0..7 refined from one root, and their maps."""
+    """Meshes of levels 0..7 refined from one root."""
     meshes = [build_unit_square_mesh(0)]
-    maps = []
     for _ in range(7):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
-    return meshes, maps
+        meshes.append(refine(meshes[-1]))
+    return meshes
 
 
 @deterministic
@@ -41,8 +38,7 @@ def hierarchy():
        nu=st.floats(0.05, 2.0), scale=st.floats(1e-3, 1e3))
 def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
                                          width, nu, scale):
-    meshes, _ = hierarchy
-    coarse, fine = meshes[level], meshes[level + k]
+    coarse, fine = hierarchy[level], hierarchy[level + k]
     rng = np.random.default_rng(seed)
     y = scale * rng.uniform(-1.0, 1.0, fine.num_vertices)
     phi = rng.uniform(-1.0, 1.0, fine.num_vertices)
@@ -69,24 +65,23 @@ def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
 @deterministic
 @given(level=st.integers(0, 6), seed=seeds, scale=st.floats(1e-6, 1e6))
 def test_prolongation_keeps_the_l2_norm(hierarchy, level, seed, scale):
-    meshes, maps = hierarchy
-    mesh, child, pmap = meshes[level], meshes[level + 1], maps[level]
+    mesh, child = hierarchy[level], hierarchy[level + 1]
     rng = np.random.default_rng(seed)
     p1 = P1Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_vertices))
-    fine = prolong_p1(pmap, p1)
+    fine = prolong_p1(child, p1)
     assert l2_diff_p1(fine, P1Field.zeros(child)) == \
         pytest.approx(l2_diff_p1(p1, P1Field.zeros(mesh)), rel=1e-13)
     # Bit for bit: inherited vertices keep their values, and each midpoint,
-    # placed between the two parent vertices the map names, takes the
+    # placed between the two parent vertices the child mesh names, takes the
     # half-sum of their values.
-    nv, ends = mesh.num_vertices, pmap.midpoints
+    nv, ends = mesh.num_vertices, child.midpoints
     assert np.array_equal(child.vertices[nv:], (mesh.vertices[ends[:, 0]]
                                                 + mesh.vertices[ends[:, 1]]) / 2)
     assert np.array_equal(fine.values[:nv], p1.values)
     assert np.array_equal(fine.values[nv:], (p1.values[ends[:, 0]]
                                              + p1.values[ends[:, 1]]) / 2)
     p0 = P0Field(mesh, scale * rng.uniform(-1.0, 1.0, mesh.num_triangles))
-    fine = prolong_p0(pmap, p0)
+    fine = prolong_p0(child, p0)
     assert l2_diff_p0(fine, P0Field.zeros(child)) == \
         pytest.approx(l2_diff_p0(p0, P0Field.zeros(mesh)), rel=1e-13)
     assert np.array_equal(fine.values,
@@ -99,17 +94,16 @@ def test_cross_level_norms_equal_same_level_norms(hierarchy, level, seed,
                                                   scale):
     # The P1 and P0 spaces are nested, so the distance between a coarse
     # field and the prolongation of another is their same-level distance.
-    meshes, maps = hierarchy
-    mesh, pmap = meshes[level], maps[level]
+    mesh, child = hierarchy[level], hierarchy[level + 1]
     rng = np.random.default_rng(seed)
     a, b = scale * rng.uniform(-1.0, 1.0, (2, mesh.num_vertices))
-    assert l2_diff_p1_cross(pmap, P1Field(mesh, a),
-                            prolong_p1(pmap, P1Field(mesh, b))) == \
+    assert l2_diff_p1_cross(P1Field(mesh, a),
+                            prolong_p1(child, P1Field(mesh, b))) == \
         pytest.approx(l2_diff_p1(P1Field(mesh, a), P1Field(mesh, b)),
                       rel=1e-12)
     a, b = scale * rng.uniform(-1.0, 1.0, (2, mesh.num_triangles))
-    assert l2_diff_p0_cross(pmap, P0Field(mesh, a),
-                            prolong_p0(pmap, P0Field(mesh, b))) == \
+    assert l2_diff_p0_cross(P0Field(mesh, a),
+                            prolong_p0(child, P0Field(mesh, b))) == \
         pytest.approx(l2_diff_p0(P0Field(mesh, a), P0Field(mesh, b)),
                       rel=1e-12)
 
@@ -185,7 +179,7 @@ def test_assembled_operators_are_exactly_symmetric(level, seed, jitter):
 def test_refine_keeps_vertices_and_middle_barycenters(level, seed, jitter):
     # The layout must not depend on the structure of the mesh.
     mesh = jittered_mesh(level, seed, jitter)
-    child, _ = refine(mesh)
+    child = refine(mesh)
     assert np.array_equal(child.vertices[:mesh.num_vertices], mesh.vertices)
     middle = barycenters(child)[3::4]
     assert np.max(np.abs(middle - barycenters(mesh))) <= 4.0 * EPS

@@ -1,4 +1,6 @@
 """EOC computation, post-processing, classification and study plumbing."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ocfem import (CoercivityError, MeshSizeError,
                    get_preset, PostprocessedControl, postprocess_error_cross,
                    refine, run_study)
 from ocfem import fem, optimizer, study
+from ocfem.cli import format_csv_rows
 from ocfem.linalg import SparseSymOperator
 from ocfem.mesh import barycentric_coordinates, locate
 
@@ -55,7 +58,7 @@ def test_postprocess_clamps():
 
 def test_postprocess_cross_error_on_constants():
     mesh = build_unit_square_mesh(2)
-    child, pmap = refine(mesh)
+    child = refine(mesh)
     spec = box(-10.0, 10.0, 1.0)
     pp_coarse = PostprocessedControl(
         spec, P1Field(mesh, np.ones(mesh.num_vertices)),
@@ -63,8 +66,8 @@ def test_postprocess_cross_error_on_constants():
     pp_fine = PostprocessedControl(
         spec, P1Field(child, np.ones(child.num_vertices)),
         P1Field(child, np.full(child.num_vertices, 0.75)))
-    assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
-                                   fem.prolong_p1(pmap, pp_coarse.adjoint),
+    assert postprocess_error_cross(fem.prolong_p1(child, pp_coarse.state),
+                                   fem.prolong_p1(child, pp_coarse.adjoint),
                                    pp_fine) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -136,19 +139,9 @@ def test_comparison_field_second_order_on_pure_elements():
     finer solve)."""
     spec = get_preset("paper-sec6")
     meshes = [build_unit_square_mesh(3)]
-    maps = []
     for _ in range(2):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
-    solutions = []
-    init = state = None
-    for i, mesh in enumerate(meshes):
-        sol = optimizer.solve_ocp(spec, mesh, init=init, state_init=state)
-        solutions.append(sol)
-        if i < len(maps):
-            init = None
-            state = None
+        meshes.append(refine(meshes[-1]))
+    solutions = [optimizer.solve_ocp(spec, mesh) for mesh in meshes]
     ref = PostprocessedControl(spec, solutions[-1].state,
                                solutions[-1].adjoint)
     gaps = []
@@ -187,6 +180,22 @@ def test_run_study_progress_and_h_column():
     assert seen == [1, 2, 3]
     assert records[0].h == pytest.approx(np.sqrt(2.0) / 2.0)
     assert records[1].h == pytest.approx(np.sqrt(2.0) / 4.0)
+
+
+def test_run_study_reproduces_the_pinned_table():
+    # Every cell but the KKT residual, which sits at round-off level, must
+    # match the committed table as text; the residuals must meet the
+    # study's tolerance.
+    pinned = (Path(__file__).parent / "data" / "study_2_6.csv").read_text()
+    rows = format_csv_rows(run_study(get_preset("paper-sec6"), 2, 6))
+    expected = [line.split(",") for line in pinned.splitlines()]
+    got = [row.split(",") for row in rows]
+    kkt = expected[0].index("kkt")
+    assert len(got) == len(expected)
+    for got_row, expected_row in zip(got, expected):
+        assert got_row[:kkt] + got_row[kkt + 1:] == \
+            expected_row[:kkt] + expected_row[kkt + 1:]
+    assert all(float(row[kkt]) <= 1e-9 for row in got[1:])
 
 
 def test_run_study_attaches_partial_results(monkeypatch):
@@ -246,20 +255,17 @@ def test_run_study_shares_factors_along_each_chain(monkeypatch):
 
 @pytest.fixture(scope="module")
 def hierarchy():
-    """Meshes of levels 0..8 refined from one root, and their maps."""
+    """Meshes of levels 0..8 refined from one root."""
     meshes = [build_unit_square_mesh(0)]
-    maps = []
     for _ in range(8):
-        child, pmap = refine(meshes[-1])
-        meshes.append(child)
-        maps.append(pmap)
-    return meshes, maps
+        meshes.append(refine(meshes[-1]))
+    return meshes
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_samples_on_match_located_values(hierarchy, level, k):
-    meshes, _ = hierarchy
+    meshes = hierarchy
     coarse, fine = meshes[level], meshes[level + k]
     rng = np.random.default_rng(100 * level + k)
     pp = PostprocessedControl(
@@ -292,7 +298,7 @@ def test_samples_on_match_located_values(hierarchy, level, k):
 
 
 def test_samples_on_rejects_a_mesh_that_is_not_an_ancestor(hierarchy):
-    meshes, _ = hierarchy
+    meshes = hierarchy
     mesh = meshes[3]
     values = np.zeros(mesh.num_vertices)
     pp = PostprocessedControl(box(-1.0, 1.0, 1.0), P1Field(mesh, values),
@@ -306,8 +312,7 @@ def test_samples_on_rejects_a_mesh_that_is_not_an_ancestor(hierarchy):
 @pytest.mark.parametrize("level", [0, 2, 4])
 def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
                                                                 level):
-    meshes, maps = hierarchy
-    coarse, fine, pmap = meshes[level], meshes[level + 1], maps[level]
+    coarse, fine = hierarchy[level], hierarchy[level + 1]
     rng = np.random.default_rng(7 + level)
     spec = box(-0.5, 0.5, 0.7)
 
@@ -333,8 +338,8 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
                            pp_fine.adjoint.at_quadrature() / spec.nu)
     d2 = (fine_vals - coarse_vals) ** 2
     expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
-    assert postprocess_error_cross(fem.prolong_p1(pmap, pp_coarse.state),
-                                   fem.prolong_p1(pmap, pp_coarse.adjoint),
+    assert postprocess_error_cross(fem.prolong_p1(fine, pp_coarse.state),
+                                   fem.prolong_p1(fine, pp_coarse.adjoint),
                                    pp_fine) == \
         pytest.approx(expected, rel=1e-13)
 
