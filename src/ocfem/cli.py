@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import resource
 import sys
 from dataclasses import dataclass
@@ -58,12 +59,19 @@ def parse_levels(text: str) -> Tuple[int, int]:
     return a, b
 
 
+def _parse_switch(text: str) -> bool:
+    """``1``/``true``/``yes`` or ``0``/``false``/``no``/empty, in any case."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no", ""):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
 # Parser of each config-file key; every key is also a flag of the same name.
 # float("inf") handles beta=inf.
 _PARSERS = {
     "preset": str, "nu": float, "alpha": float, "beta": float,
     "level": int, "levels": parse_levels, "out": lambda text: text or None,
-    "emit_fields": lambda text: text.lower() in ("1", "true", "yes"),
+    "emit_fields": _parse_switch,
 }
 
 
@@ -121,6 +129,9 @@ def _write_lines(lines: List[str], stream) -> None:
 
 def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     mesh = build_unit_square_mesh(cfg.level)
+    out_dir = Path(cfg.out) if cfg.out else None
+    if out_dir:  # made before the solve: an unwritable path costs no solve
+        out_dir.mkdir(parents=True, exist_ok=True)
     try:
         solution = optimizer.solve_ocp(spec, mesh)
     except (AdmissibilityError, NonconvergenceError, LinearSolverError) as err:
@@ -138,9 +149,7 @@ def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
         f"state_newton_iterations={solution.state_report.iterations}",
         f"state_residual={solution.state_report.residual!r}",
     ]
-    if cfg.out:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         with open(out_dir / "summary.txt", "w", newline="\n") as handle:
             _write_lines(summary, handle)
         if cfg.emit_fields:
@@ -181,17 +190,9 @@ def cmd_study(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     return 0
 
 
-def _reference_triangle_mesh() -> Mesh:
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    triangles = np.array([[0, 1, 2]])
-    boundary = np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]])
-    return Mesh(vertices, triangles, boundary, level=0)
-
-
 def _check_mesh(mesh: Mesh) -> str:
     mesh.validate()
-    return (f"{mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
-            f"{len(mesh.boundary_edges)} boundary edges")
+    return f"{mesh.num_vertices} vertices, {mesh.num_triangles} triangles"
 
 
 def _check_quadrature() -> str:
@@ -213,7 +214,8 @@ def _check_quadrature() -> str:
 
 
 def _check_stiffness_reference() -> str:
-    mesh = _reference_triangle_mesh()
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2]]), level=0)
     matrix = fem.assemble_stiffness(mesh).to_dense()
     exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     gap = float(np.max(np.abs(matrix - exact)))
@@ -377,8 +379,20 @@ def _check_memory(level: int) -> None:
             f"more than the {have / 2 ** 30:.3g} GiB available")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on a bad command line (``main`` prints it in
+    one ``error:`` line), and reads ``-5e-1`` as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ocfem",
         description="Finite element solver for bilinear optimal control "
                     "of semilinear elliptic equations")
@@ -412,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

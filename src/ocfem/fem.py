@@ -11,6 +11,8 @@ Element conventions
   mass are quadrature values, shape (nt, nq), and nothing else;
   ``at_points`` is the one way from a coefficient callable to such values,
   and ``l2_project_p0`` takes a callable and evaluates it through it.
+* The boundary is not stored on the mesh: it is the set of edges in one
+  triangle only, read once per mesh off the sparsity pattern's counts.
 * Products of two P1 factors (elementwise means of y*phi, norms, the mass
   action on a P0 weight) are integrated with the closed-form identity
   ``int_T y z = |T|/12 * (sum_i y_i z_i + (sum_i y_i)(sum_i z_i))``,
@@ -277,12 +279,24 @@ def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
     return _scatter_nodal(mesh, contrib)
 
 
+def _boundary_edges(mesh: Mesh) -> np.ndarray:
+    """Vertex pairs ``(i, j)``, ``i < j``, of the edges in one triangle
+    only, (ne, 2): the pattern entries above the diagonal that one local
+    matrix adds to.  Computed once per mesh."""
+    def build():
+        indptr, indices, slot = _pattern(mesh)
+        rows = np.repeat(np.arange(mesh.num_vertices), np.diff(indptr))
+        once = (np.bincount(slot) == 1) & (rows < indices)
+        return (np.column_stack([rows[once], indices[once]]),)
+
+    return _per_mesh(mesh, "boundary_edges", build)[0]
+
+
 def assemble_boundary_load(mesh: Mesh, g) -> np.ndarray:
-    """Load vector with entries ``int_Gamma g phi_i`` by edge quadrature."""
+    """Load vector with entries ``int_Gamma g phi_i`` by edge quadrature
+    (a symmetric rule, so the orientation of an edge is immaterial)."""
     out = np.zeros(mesh.num_vertices)
-    edges = mesh.boundary_edges
-    if len(edges) == 0:
-        return out
+    edges = _boundary_edges(mesh)
     p0 = mesh.vertices[edges[:, 0]]
     p1 = mesh.vertices[edges[:, 1]]
     lengths = np.linalg.norm(p1 - p0, axis=1)

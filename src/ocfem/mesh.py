@@ -34,9 +34,7 @@ class Mesh:
     vertices : (nv, 2) float array
         Vertex coordinates.
     triangles : (nt, 3) int array
-        Counterclockwise vertex-index triples.
-    boundary_edges : (ne, 4) int array
-        Rows ``(v0, v1, owning_triangle, marker)``.
+        Counterclockwise vertex-index triples; the boundary is not stored.
     level : int
         Refinement level ``j >= 0``.
 
@@ -55,19 +53,17 @@ class Mesh:
         ``parent.num_vertices + k`` for row ``k``; None on a root mesh.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, level,
+    def __init__(self, vertices, triangles, level,
                  _structure=None, _parent=None, _midpoints=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=_INDEX_DTYPE)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges,
-                                                   dtype=_INDEX_DTYPE)
         self.level = int(level)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (nv, 2)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (nt, 3)")
-        if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 4:
-            raise MeshError("boundary_edges must have shape (ne, 4)")
         if self.triangles.size and (self.triangles.min() < 0 or
                                     self.triangles.max() >= len(self.vertices)):
             raise MeshError("triangle index outside the vertex range")
@@ -92,8 +88,8 @@ class Mesh:
         self.parent = _parent
         self.midpoints = None if _midpoints is None else \
             np.ascontiguousarray(_midpoints, dtype=_INDEX_DTYPE)
-        for arr in (self.vertices, self.triangles, self.boundary_edges,
-                    self.areas, self.grads, self.midpoints):
+        for arr in (self.vertices, self.triangles, self.areas, self.grads,
+                    self.midpoints):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -106,44 +102,24 @@ class Mesh:
         return len(self.triangles)
 
     def validate(self) -> None:
-        """Run the full invariant battery; raise MeshError on violation."""
-        nv, tri = self.num_vertices, self.triangles
-        keys, counts = np.unique(_edge_keys(np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), nv),
-            return_counts=True)
+        """Raise MeshError if an edge is shared by more than two triangles."""
+        tri = self.triangles
+        _, counts = np.unique(_edge_keys(np.concatenate(
+            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+            self.num_vertices), return_counts=True)
         if np.any(counts > 2):
             raise MeshError("non-conforming: an edge is shared by >2 triangles")
-        if int(np.sum(counts == 1)) != len(self.boundary_edges):
-            raise MeshError("boundary edge list does not match topology")
-        ends, owner = self.boundary_edges[:, :2], self.boundary_edges[:, 2]
-        # The key of an out-of-range vertex could alias another edge's key.
-        if np.any((ends < 0) | (ends >= nv)):
-            raise MeshError("boundary edge index outside the vertex range")
-        if np.any((owner < 0) | (owner >= len(tri))):
-            raise MeshError("boundary edge owner outside the triangle range")
-        bkeys = _edge_keys(ends, nv)
-        interior = keys[counts == 2]
-        at = np.minimum(np.searchsorted(interior, bkeys), len(interior) - 1)
-        if len(interior) and np.any(interior[at] == bkeys):
-            raise MeshError("listed boundary edge is interior")
-        corners = tri[owner]
-        if not np.all(np.any(corners[:, :, None] == ends[:, None, :], axis=1)):
-            raise MeshError("boundary edge not an edge of its owner")
 
     def write_text(self, stream) -> None:
         """Dump the mesh in the plain-text exchange format.
 
-        One header line ``nv nt ne`` followed by vertex coordinates,
-        triangle triples, and boundary edge rows.
+        One header line ``nv nt``, then vertex coordinates and triangles.
         """
-        ne = len(self.boundary_edges)
-        stream.write(f"{self.num_vertices} {self.num_triangles} {ne}\n")
+        stream.write(f"{self.num_vertices} {self.num_triangles}\n")
         for x, y in self.vertices:
             stream.write(f"{float(x)!r} {float(y)!r}\n")
         for a, b, c in self.triangles:
             stream.write(f"{a} {b} {c}\n")
-        for v0, v1, t, m in self.boundary_edges:
-            stream.write(f"{v0} {v1} {t} {m}\n")
 
 
 def check_level(level: int) -> None:
@@ -178,23 +154,7 @@ def build_unit_square_mesh(level: int) -> Mesh:
     triangles = np.empty((2 * n * n, 3), dtype=_INDEX_DTYPE)
     triangles[0::2] = np.column_stack([ll, lr, ur])
     triangles[1::2] = np.column_stack([ll, ur, ul])
-
-    def _square(rr, cc):
-        return rr * n + cc
-
-    idx = np.arange(n)
-    bottom = np.column_stack([idx, idx + 1,
-                              2 * _square(0, idx), np.zeros(n, dtype=int)])
-    right = np.column_stack([idx * (n + 1) + n, (idx + 1) * (n + 1) + n,
-                             2 * _square(idx, n - 1), np.zeros(n, dtype=int)])
-    top = np.column_stack([n * (n + 1) + idx + 1, n * (n + 1) + idx,
-                           2 * _square(n - 1, idx) + 1, np.zeros(n, dtype=int)])
-    left = np.column_stack([(idx + 1) * (n + 1), idx * (n + 1),
-                            2 * _square(idx, 0) + 1, np.zeros(n, dtype=int)])
-    boundary_edges = np.concatenate([bottom, right, top, left])
-
-    return Mesh(vertices, triangles, boundary_edges, level,
-                _structure=("unit_square", n))
+    return Mesh(vertices, triangles, level, _structure=("unit_square", n))
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -233,20 +193,7 @@ def refine(mesh: Mesh) -> Mesh:
     children[1::4] = np.column_stack([m01, b, m12])
     children[2::4] = np.column_stack([m20, m12, c])
     children[3::4] = np.column_stack([m01, m12, m20])
-
-    # Each boundary edge (v0, v1) of triangle t splits at its midpoint m
-    # into (v0, m) and (m, v1), owned by the corner children of v0 and v1.
-    v0, v1, owner, marker = mesh.boundary_edges.T
-    m = nv + np.searchsorted(uniq_keys, _edge_keys(
-        mesh.boundary_edges[:, :2], nv))
-    corners = tri[owner]
-    child0 = 4 * owner + np.argmax(corners == v0[:, None], axis=1)
-    child1 = 4 * owner + np.argmax(corners == v1[:, None], axis=1)
-    boundary_edges = np.empty((2 * len(v0), 4), dtype=_INDEX_DTYPE)
-    boundary_edges[0::2] = np.column_stack([v0, m, child0, marker])
-    boundary_edges[1::2] = np.column_stack([m, v1, child1, marker])
-
-    return Mesh(vertices, children, boundary_edges, mesh.level + 1,
+    return Mesh(vertices, children, mesh.level + 1,
                 _parent=mesh, _midpoints=uniq)
 
 

@@ -398,8 +398,7 @@ def test_criterion9_projection_suite():
 
 def test_criterion10_reference_stiffness():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]),
-                np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]]), 0)
+                np.array([[0, 1, 2]]), 0)
     matrix = fem.assemble_stiffness(mesh).to_dense()
     exact = np.array([[1.0, -0.5, -0.5],
                       [-0.5, 0.5, 0.0],

@@ -71,8 +71,9 @@ def test_solve_writes_summary_and_fields(tmp_path, capsys):
     assert "preset=manufactured-constant" in summary
     assert "level=2" in summary
     mesh_lines = (out / "mesh.txt").read_text().splitlines()
-    nv, nt, ne = map(int, mesh_lines[0].split())
-    assert (nv, nt, ne) == (25, 32, 16)
+    nv, nt = map(int, mesh_lines[0].split())
+    assert (nv, nt) == (25, 32)
+    assert len(mesh_lines) == 1 + nv + nt
     control = (out / "control.txt").read_text().splitlines()
     assert control[0] == "p0 32"
     assert all(float(v) == 0.0 for v in control[1:])
@@ -265,24 +266,72 @@ def test_study_oversized_range_exit_2_before_any_mesh(capsys, monkeypatch):
     (["study", "--levels", "1..2"], "missing/dir/table.csv"),
     (["solve", "--level", "1"], "a-file"),
 ], ids=["study-missing-dir", "solve-out-is-a-file"])
-def test_unwritable_out_exit_2(command, out, tmp_path, capsys):
+def test_unwritable_out_exit_2(command, out, tmp_path, capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output was opened")
+
+    # The study opens its file, and solve makes its directory, before the
+    # first solve: an unwritable path costs no solve and one error line.
+    monkeypatch.setattr(cli_mod.optimizer, "solve_ocp", no_solve)
     (tmp_path / "a-file").write_text("")
     assert run_cli(command + ["--out", str(tmp_path / out)]) == 2
-    # One error line: the study opens its output before the first level.
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--wibble"], [], ["solve", "--level"],
+], ids=["unknown-flag", "no-command", "flag-without-value"])
+def test_bad_command_line_exit_2_with_one_error_line(args, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_negative_exponent_value_is_not_an_option(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_solve",
+                        lambda cfg, spec: seen.append(cfg) or 0)
+    assert run_cli(["solve", "--alpha", "-5e-1", "--level", "2"]) == 0
+    assert seen[0].alpha == -0.5
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False),
+    ("false", False), ("NO", False), ("", False),
+])
+def test_emit_fields_config_values(value, expected, tmp_path):
+    from ocfem.cli import _config_from_args, build_parser
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"emit_fields={value}\n")
+    args = build_parser().parse_args(["solve", "--config", str(cfg_file)])
+    assert _config_from_args(args).emit_fields is expected
+
+
+@pytest.mark.parametrize("value", ["tru", "2", "on", "y"])
+def test_emit_fields_unknown_value_exit_2(value, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"emit_fields={value}\n")
+    assert run_cli(["solve", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and value in err[0]
 
 
 def test_check_reports_a_broken_mesh(capsys, monkeypatch):
     import ocfem.cli as cli_mod
 
     def broken(mesh):
-        raise MeshError("boundary edge list does not match topology")
+        raise MeshError("non-conforming: an edge is shared by >2 triangles")
 
     monkeypatch.setattr(cli_mod.Mesh, "validate", broken)
     assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
-    assert ("FAIL mesh-invariants: boundary edge list does not match "
-            "topology") in capsys.readouterr().out.splitlines()
+    assert ("FAIL mesh-invariants: non-conforming: an edge is shared by >2 "
+            "triangles") in capsys.readouterr().out.splitlines()
 
 
 def test_solve_output_is_the_same_under_one_and_two_blas_threads():

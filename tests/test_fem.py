@@ -26,8 +26,7 @@ from ocfem.linalg import SparseSymOperator
 
 def reference_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]),
-                np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]]), 0)
+                np.array([[0, 1, 2]]), 0)
 
 
 def at_quadrature(mesh, f):
@@ -172,6 +171,63 @@ def test_boundary_load_partition_of_unity():
     mesh = build_unit_square_mesh(4)
     b = assemble_boundary_load(mesh, lambda x: np.ones(len(x)))
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
+
+
+def _square_sides(level):
+    """Oracle: the boundary of ``build_unit_square_mesh(level)`` listed side
+    by side (bottom, right, top, left), counterclockwise, from the
+    lexicographic vertex numbering."""
+    n = 1 << level
+    idx = np.arange(n)
+    return np.concatenate([
+        np.column_stack([idx, idx + 1]),
+        np.column_stack([idx * (n + 1) + n, (idx + 1) * (n + 1) + n]),
+        np.column_stack([n * (n + 1) + idx + 1, n * (n + 1) + idx]),
+        np.column_stack([(idx + 1) * (n + 1), idx * (n + 1)]),
+    ])
+
+
+def _split_at_midpoints(parent, child, edges):
+    """Oracle: each parent boundary edge (v0, v1) becomes (v0, m) and
+    (m, v1), m the child vertex at its midpoint (dyadic, so exact)."""
+    at = {tuple(x): k for k, x in enumerate(child.vertices.tolist())}
+    rows = []
+    for v0, v1 in edges.tolist():
+        m = at[tuple(0.5 * (parent.vertices[v0] + parent.vertices[v1]))]
+        rows += [(v0, m), (m, v1)]
+    return np.array(rows)
+
+
+def _edge_load(mesh, edges, g):
+    """Oracle: ``int_Gamma g phi_i`` edge by edge with the 3-point rule."""
+    out = np.zeros(mesh.num_vertices)
+    for v0, v1 in edges.tolist():
+        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
+        length = np.linalg.norm(p1 - p0)
+        for t, w in zip(fem.EDGE_RULE_POINTS, fem.EDGE_RULE_WEIGHTS):
+            gv = g(((1.0 - t) * p0 + t * p1)[None])[0] * w * length
+            out[v0] += gv * (1.0 - t)
+            out[v1] += gv * t
+    return out
+
+
+@pytest.mark.parametrize("level, built", [(j, "built") for j in range(7)]
+                         + [(j, "refined") for j in range(1, 7)])
+def test_boundary_load_matches_the_listed_sides(level, built):
+    def g(x):
+        return np.cos(3.0 * x[:, 0]) + x[:, 0] * x[:, 1] ** 2 - 0.5
+
+    if built == "built":
+        mesh = build_unit_square_mesh(level)
+        edges = _square_sides(level)
+    else:
+        parent = build_unit_square_mesh(level - 1)
+        mesh = refine(parent)
+        edges = _split_at_midpoints(parent, mesh, _square_sides(level - 1))
+    expected = _edge_load(mesh, edges, g)
+    assert np.allclose(assemble_boundary_load(mesh, g), expected,
+                       rtol=0.0, atol=1e-15)
+    assert np.count_nonzero(expected) == 4 << level
 
 
 def test_volume_load_partition_of_unity():

@@ -8,6 +8,7 @@ import pytest
 from ocfem import (Mesh, MeshError, MeshSizeError, P0Field, P1Field,
                    barycenters, build_unit_square_mesh, prolong_p0,
                    prolong_p1, refine)
+from ocfem.fem import _boundary_edges
 from ocfem.mesh import barycentric_coordinates, check_level, locate
 
 
@@ -69,17 +70,25 @@ def test_euler_formula(level):
 
 def test_boundary_length():
     mesh = build_unit_square_mesh(4)
-    p0 = mesh.vertices[mesh.boundary_edges[:, 0]]
-    p1 = mesh.vertices[mesh.boundary_edges[:, 1]]
+    edges = _boundary_edges(mesh)
+    p0 = mesh.vertices[edges[:, 0]]
+    p1 = mesh.vertices[edges[:, 1]]
     total = np.linalg.norm(p1 - p0, axis=1).sum()
     assert abs(total - 4.0) <= 1e-12
 
 
 def test_boundary_edges_belong_to_owner():
+    # The derived boundary: each edge (i < j) lies in exactly one triangle,
+    # and it is derived once per mesh and read-only.
     mesh = build_unit_square_mesh(3)
-    for v0, v1, t, marker in mesh.boundary_edges:
-        assert {v0, v1} <= set(mesh.triangles[t])
-        assert marker == 0
+    edges = _boundary_edges(mesh)
+    assert len(edges) == 4 * 8
+    assert np.all(edges[:, 0] < edges[:, 1])
+    for v0, v1 in edges:
+        owners = [t for t in mesh.triangles if {v0, v1} <= set(t)]
+        assert len(owners) == 1
+    assert _boundary_edges(mesh) is edges
+    assert not edges.flags.writeable
 
 
 def test_refine_matches_direct_build():
@@ -149,8 +158,7 @@ def test_nestedness_every_child_inside_parent():
 
 def test_barycenter_reference_triangle():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]),
-                np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]]), 0)
+                np.array([[0, 1, 2]]), 0)
     assert barycenters(mesh)[0] == pytest.approx([1.0 / 3.0, 1.0 / 3.0])
 
 
@@ -213,49 +221,37 @@ def test_middle_child_has_parent_barycenter():
 
 @pytest.mark.parametrize("level", range(7))
 def test_refined_boundary_edges_split_at_midpoints(level):
+    # The boundary derived on the child is the parent's, each edge split
+    # into its two halves at its midpoint vertex.
     mesh = build_unit_square_mesh(level)
     child = refine(mesh)
     child.validate()
-    first, second = child.boundary_edges[0::2], child.boundary_edges[1::2]
-    v0, v1, owner, marker = mesh.boundary_edges.T
-    assert np.array_equal(first[:, 0], v0)
-    assert np.array_equal(second[:, 1], v1)
-    assert np.array_equal(first[:, 1], second[:, 0])
-    assert np.array_equal(
-        child.vertices[first[:, 1]],
-        0.5 * (mesh.vertices[v0] + mesh.vertices[v1]))
-    for half in (first, second):
-        assert np.array_equal(half[:, 2] // 4, owner)
-        assert np.all(half[:, 2] % 4 < 3)           # a corner child
-        assert np.array_equal(half[:, 3], marker)
+    at = {tuple(x): k for k, x in enumerate(child.vertices.tolist())}
+    halves = set()
+    for v0, v1 in _boundary_edges(mesh).tolist():
+        m = at[tuple(0.5 * (mesh.vertices[v0] + mesh.vertices[v1]))]
+        halves |= {(min(v0, m), max(v0, m)), (min(m, v1), max(m, v1))}
+    assert set(map(tuple, _boundary_edges(child).tolist())) == halves
+    assert len(_boundary_edges(child)) == len(halves)
 
 
 def _reference_refinement(mesh):
-    """Midpoint table and split boundary edges as built by row-wise
-    ``np.unique`` and a dictionary over every edge."""
-    nv, tri = mesh.num_vertices, mesh.triangles
+    """Midpoint table as built by row-wise ``np.unique``."""
+    tri = mesh.triangles
     edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
                                     tri[:, [2, 0]]]), axis=1)
     uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-    edge_to_mid = {(int(u), int(v)): nv + k for k, (u, v) in enumerate(uniq)}
-    bedges = []
-    for v0, v1, t, marker in mesh.boundary_edges.tolist():
-        m = edge_to_mid[(min(v0, v1), max(v0, v1))]
-        child_at = {int(v): 4 * t + i for i, v in enumerate(tri[t])}
-        bedges += [(v0, m, child_at[v0], marker),
-                   (m, v1, child_at[v1], marker)]
-    return uniq, nv + inverse.reshape(3, -1), np.array(bedges)
+    return uniq, mesh.num_vertices + inverse.reshape(3, -1)
 
 
 def test_refine_matches_row_wise_edge_dedup():
     assert build_unit_square_mesh(0).midpoints is None
     for mesh, child in _refined_chain(6):
-        uniq, mid, bedges = _reference_refinement(mesh)
+        uniq, mid = _reference_refinement(mesh)
         assert child.parent is mesh
         assert np.array_equal(child.midpoints, uniq)
         assert not child.midpoints.flags.writeable
         assert np.array_equal(child.triangles[3::4], mid.T)
-        assert np.array_equal(child.boundary_edges, bedges)
 
 
 def test_locate_structured_and_refined():
@@ -271,8 +267,7 @@ def test_locate_structured_and_refined():
 
 def test_locate_requires_structured_ancestor():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]),
-                np.array([[0, 1, 0, 0], [1, 2, 0, 0], [2, 0, 0, 0]]), 0)
+                np.array([[0, 1, 2]]), 0)
     with pytest.raises(MeshError):
         locate(mesh, np.array([[0.1, 0.1]]))
 
@@ -288,84 +283,45 @@ def test_mesh_dump_format():
     out = io.StringIO()
     mesh.write_text(out)
     lines = out.getvalue().splitlines()
-    nv, nt, ne = map(int, lines[0].split())
-    assert (nv, nt, ne) == (9, 8, 8)
-    assert len(lines) == 1 + nv + nt + ne
+    nv, nt = map(int, lines[0].split())
+    assert (nv, nt) == (9, 8)
+    assert len(lines) == 1 + nv + nt
     coords = np.array([[float(tok) for tok in line.split()]
                        for line in lines[1:1 + nv]])
     assert np.array_equal(coords, mesh.vertices)
 
 
-def _unit_square_with(boundary_edges):
-    """Level-0 unit square (triangles [0, 1, 3] and [0, 3, 2], diagonal
-    0-3) with the given boundary edge rows."""
-    mesh = build_unit_square_mesh(0)
-    return Mesh(mesh.vertices, mesh.triangles, boundary_edges, 0)
-
-
 def test_validate_accepts_the_unit_square():
-    _unit_square_with(build_unit_square_mesh(0).boundary_edges).validate()
+    build_unit_square_mesh(0).validate()
 
 
 def test_validate_rejects_an_edge_in_three_triangles():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
                           [0.5, 1.0]]),
-                np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
-                np.zeros((0, 4)), 0)
+                np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), 0)
     with pytest.raises(MeshError, match="shared by >2 triangles"):
         mesh.validate()
-
-
-def test_validate_rejects_a_missing_boundary_edge():
-    edges = build_unit_square_mesh(0).boundary_edges
-    with pytest.raises(MeshError, match="does not match topology"):
-        _unit_square_with(edges[1:]).validate()
-
-
-def test_validate_rejects_an_interior_edge_listed_as_boundary():
-    edges = build_unit_square_mesh(0).boundary_edges.copy()
-    edges[0] = [3, 0, 0, 0]                  # the diagonal, in place of 0-1
-    with pytest.raises(MeshError, match="boundary edge is interior"):
-        _unit_square_with(edges).validate()
-
-
-def test_validate_rejects_a_boundary_edge_of_another_triangle():
-    edges = build_unit_square_mesh(0).boundary_edges.copy()
-    assert edges[0].tolist() == [0, 1, 0, 0]
-    edges[0, 2] = 1                          # triangle [0, 3, 2] lacks 1
-    with pytest.raises(MeshError, match="not an edge of its owner"):
-        _unit_square_with(edges).validate()
-
-
-@pytest.mark.parametrize("vertex", [-1, 4])
-def test_validate_rejects_a_boundary_vertex_out_of_range(vertex):
-    edges = build_unit_square_mesh(0).boundary_edges.copy()
-    edges[0, 1] = vertex
-    with pytest.raises(MeshError, match="outside the vertex range"):
-        _unit_square_with(edges).validate()
-
-
-@pytest.mark.parametrize("owner", [2, -1, -2])
-def test_validate_rejects_a_boundary_owner_out_of_range(owner):
-    # nt = 2: -2 would wrap around to the edge's true owner, triangle 0.
-    edges = build_unit_square_mesh(0).boundary_edges.copy()
-    edges[0, 2] = owner
-    with pytest.raises(MeshError, match="outside the triangle range"):
-        _unit_square_with(edges).validate()
 
 
 def test_invalid_mesh_triangle_index_out_of_range():
     for bad in (-1, 3):
         with pytest.raises(MeshError, match="outside the vertex range"):
             Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                 np.array([[0, 1, bad]]), np.zeros((0, 4)), 0)
+                 np.array([[0, 1, bad]]), 0)
 
 
 def test_invalid_mesh_negative_area():
     with pytest.raises(MeshError):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-             np.array([[0, 2, 1]]),   # clockwise
-             np.zeros((0, 4)), 0)
+             np.array([[0, 2, 1]]), 0)   # clockwise
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invalid_mesh_non_finite_vertex(bad):
+    # A NaN area would pass the positive-area test; refuse it before.
+    with pytest.raises(MeshError, match="finite"):
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]]),
+             np.array([[0, 1, 2]]), 0)
 
 
 def test_quasi_uniformity_equal_diameters():

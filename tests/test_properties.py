@@ -117,7 +117,7 @@ def jittered_mesh(level, seed, jitter):
     moved = mesh.vertices.copy()
     moved[interior] += jitter / n * np.random.default_rng(seed).uniform(
         -1.0, 1.0, (int(interior.sum()), 2))
-    return Mesh(moved, mesh.triangles, mesh.boundary_edges, level)
+    return Mesh(moved, mesh.triangles, level)
 
 
 @deterministic
