@@ -110,9 +110,6 @@ class SparseSymOperator:
                 f"dimension mismatch: operator is {self.n}, vector is {x.shape}")
         return self.matrix @ x
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def _factor(self):
         """A new factor of this operator."""
         # Imported here, not at start-up: only factoring needs it.

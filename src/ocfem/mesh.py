@@ -83,6 +83,11 @@ class Mesh:
 
         edges = p - np.roll(p, 1, axis=1)
         self.h = float(np.sqrt(np.max(np.sum(edges ** 2, axis=2))))
+        # Finite coordinates can still overflow an area, a gradient or h.
+        if not all(np.all(np.isfinite(arr))
+                   for arr in (self.areas, self.grads, self.h)):
+            raise MeshError("triangle areas, gradients and diameters must "
+                            "be finite")
 
         self._structure = _structure
         self.parent = _parent

@@ -2,7 +2,7 @@
 
 Every derivative of the reduced cost at a control comes from one
 ``Linearization``: its state, adjoint, gradient, curvature weight, Hessian
-products and both Hessian forms, and the projection formula
+products and the two-solve Hessian, and the projection formula
 ``Proj_[alpha, beta](mean_T(y phi) / nu)`` with the KKT residual, the L2
 distance of the control from that image.  ``solve_ocp`` builds one per
 outer iteration, and ``ocfem check`` one for its derivative checks.
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import fem, pde
-from .errors import NonconvergenceError, OcfemError
+from .errors import NonconvergenceError
 from .fem import P0Field, P1Field
 from .linalg import FactorSlot
 from .mesh import Mesh
@@ -108,20 +108,11 @@ class Linearization:
         mean += fem.elementwise_p1_product_mean(self.mesh, self.state, eta)
         return self.spec.nu * v_values - mean
 
-    def hessian(self, v1: P0Field, v2: P0Field, form: str = "z") -> float:
-        """Second derivative of the discrete cost in two P0 directions.
-
-        ``form="z"`` evaluates the symmetric two-solve expression;
-        ``form="eta"`` evaluates the representation through the auxiliary
-        second-order solve (with the Tikhonov factor nu on the leading
-        term).  Both agree to solver tolerance.
-        """
+    def hessian(self, v1: P0Field, v2: P0Field) -> float:
+        """Second derivative of the discrete cost in two P0 directions, by
+        the symmetric two-solve expression.  It agrees to solver tolerance
+        with ``sum(|T| * hessian_apply_values(v1) * v2)``."""
         mesh, phi, nu = self.mesh, self.adjoint, self.spec.nu
-        if form == "eta":
-            hv = self.hessian_apply_values(v1.values)
-            return float(np.sum(mesh.areas * hv * v2.values))
-        if form != "z":
-            raise OcfemError("form must be 'z' or 'eta'")
         z1 = self.solve_z(v1)
         z2 = z1 if v2 is v1 else self.solve_z(v2)
         current = fem.integrate(
@@ -134,10 +125,10 @@ class Linearization:
 
 
 def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
-         state: P1Field = None, **solve_kwargs) -> float:
-    """Value of the discrete objective at a control (state solved if absent)."""
+         state: P1Field = None, init: P1Field = None) -> float:
+    """Discrete objective at u (state solved from ``init`` if absent)."""
     if state is None:
-        state, _ = pde.solve_state(spec, mesh, u, **solve_kwargs)
+        state, _ = pde.solve_state(spec, mesh, u, init=init)
     tracking = 0.0
     if spec.objective is not None:
         tracking = fem.integrate(mesh, fem.at_points(
@@ -150,6 +141,7 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
 # Relative residual target and iteration budget of the reduced CG.
 _CG_TOL = 1e-10
 _CG_MAX_ITERATIONS = 200
+_OUTER_MAX_ITERATIONS = 50  # iteration budget of solve_ocp
 
 
 def _reduced_cg(problem, rhs, inactive, areas):
@@ -186,8 +178,8 @@ def _reduced_cg(problem, rhs, inactive, areas):
 
 
 def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
-              tol: float = 1e-9, max_outer: int = 50,
-              newton_tol: float = 1e-11, linear_tol: float = 1e-12,
+              tol: float = 1e-9, newton_tol: float = 1e-11,
+              linear_tol: float = 1e-12,
               state_init: P1Field = None) -> OcpSolution:
     """Solve the discrete control problem to a KKT residual below ``tol``.
 
@@ -205,7 +197,7 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     last_kkt = math.inf
     stall = 0
 
-    for it in range(1, max_outer + 1):
+    for it in range(1, _OUTER_MAX_ITERATIONS + 1):
         # Release the previous problem, and its operator, before the next
         # one is built.
         problem = None
@@ -255,5 +247,6 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     best.cost = cost(spec, mesh, best.control, state=best.state)
     raise NonconvergenceError(
         f"outer solver did not reach KKT tolerance {tol:.3e} in "
-        f"{max_outer} iterations (best residual {best.kkt_residual:.3e}); "
+        f"{_OUTER_MAX_ITERATIONS} iterations "
+        f"(best residual {best.kkt_residual:.3e}); "
         "possible loss of second-order sufficiency", report=best)

@@ -10,6 +10,8 @@ of one chain (the Newton steps of a state solve, or every operator of an
 outer optimization) share a ``FactorSlot``: an operator first solves by
 conjugate gradients preconditioned by the chain's latest factor and is
 factored only when that solve fails or was slow (see ``ocfem.linalg``).
+Admissibility of data and controls is decided by
+``ProblemSpec.check_control`` alone; ``validate`` applies it to u = alpha.
 
 The state solve is an inexact Newton method (Dembo, Eisenstat & Steihaug,
 SIAM J. Numer. Anal. 19, 1982): step k solves its tangent system only to
@@ -80,18 +82,12 @@ class ProblemSpec:
     def validate(self, mesh: Mesh) -> None:
         """Sampled admissibility checks on the given mesh.
 
-        Verifies a0(x) + alpha >= 0 at every volume quadrature point, that
-        a0 + alpha is not identically zero, and spot-checks the
-        monotonicity bound da/dy(x, y) >= a0(x).
+        Checks the constant control alpha (``check_control``) and
+        spot-checks the monotonicity bound da/dy(x, y) >= a0(x).
         """
+        self.check_control(mesh, P0Field(mesh, np.full(mesh.num_triangles,
+                                                       self.alpha)))
         pts = fem.quadrature_points(mesh).reshape(-1, 2)
-        a0 = fem.at_points(self.reaction_floor, pts)
-        worst = float(np.min(a0) + self.alpha)
-        if worst < -1e-12:
-            raise AdmissibilityError(
-                f"a0(x) + alpha = {worst:.6e} < 0: coercivity is lost")
-        if np.max(a0) + self.alpha <= 0.0:
-            raise AdmissibilityError("a0 + alpha vanishes identically")
         sample = pts[:: max(1, len(pts) // 64)]
         a0s = fem.at_points(self.reaction_floor, sample)
         for y_val in (-3.0, -1.0, 0.0, 0.5, 2.0):
@@ -104,12 +100,12 @@ class ProblemSpec:
                     "reaction floor is not a lower bound")
 
     def check_control(self, mesh: Mesh, u: P0Field) -> None:
-        """Check membership of u in the admissible monotonicity class."""
+        """Check a0 + u >= 0 at the quadrature points, not identically 0."""
         a0 = fem.at_points(self.reaction_floor, fem.quadrature_points(mesh))
         total = a0 + u.values[:, None]
         if float(total.min()) < -1e-12:
             raise AdmissibilityError(
-                "control leaves the admissible class: a0 + u < 0 somewhere")
+                f"a0(x) + u = {total.min():.6e} < 0: coercivity is lost")
         if float(total.max()) <= 0.0:
             raise AdmissibilityError("a0 + u vanishes identically")
 
@@ -121,7 +117,6 @@ class SolveReport:
     iterations: int = 0
     residual: float = math.inf
     damping_events: int = 0
-    converged: bool = False
 
 
 def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
@@ -135,10 +130,12 @@ def linearized_operator(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                                  slot=slot)
 
 
+_NEWTON_MAX_ITERATIONS = 50  # iteration budget of solve_state
+
+
 def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 init: P1Field = None, *, tol: float = 1e-11,
-                max_iterations: int = 50, linear_tol: float = 1e-12,
-                slot: FactorSlot = None):
+                linear_tol: float = 1e-12, slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
     Returns ``(P1Field, SolveReport)``.  The residual is driven below
@@ -171,10 +168,10 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     f = residual(y)
     norm_f = norm(f)
     while norm_f > tol * scale:
-        if report.iterations == max_iterations:
+        if report.iterations == _NEWTON_MAX_ITERATIONS:
             report.residual = norm_f
             raise NonconvergenceError(
-                f"state Newton did not converge in {max_iterations} "
+                f"state Newton did not converge in {_NEWTON_MAX_ITERATIONS} "
                 f"iterations (residual {norm_f:.3e})", report=report)
         operator = linearized_operator(spec, mesh, u, P1Field(mesh, y),
                                        slot=slot)
@@ -198,7 +195,6 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
         y, f, norm_f = y_trial, f_trial, norm_trial
         report.iterations += 1
     report.residual = norm_f
-    report.converged = True
     return P1Field(mesh, y), report
 
 

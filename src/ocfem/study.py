@@ -136,7 +136,6 @@ class Classification:
     t2: np.ndarray            # indices of the rest
     measure_t1: float
     sample: np.ndarray        # (nt,)
-    tol_active: float
 
 
 def classify_elements(mesh: Mesh,
@@ -151,19 +150,17 @@ def classify_elements(mesh: Mesh,
     """
     alpha, beta = control.spec.alpha, control.spec.beta
     if math.isfinite(beta):
-        tol_active = 1e-6 * (beta - alpha)
+        tol = 1e-6 * (beta - alpha)
     else:
-        tol_active = 1e-6 * max(1.0, abs(alpha))
+        tol = 1e-6 * max(1.0, abs(alpha))
     vals = control.samples_on(mesh)
-    active = (np.abs(vals - alpha) <= tol_active) | \
-        (np.abs(vals - beta) <= tol_active)
+    active = (np.abs(vals - alpha) <= tol) | (np.abs(vals - beta) <= tol)
     mixed = active.any(axis=1) & (~active).any(axis=1)
     t1 = np.flatnonzero(mixed)
     t2 = np.flatnonzero(~mixed)
     return Classification(t1=t1, t2=t2,
                           measure_t1=float(mesh.areas[t1].sum()),
-                          sample=np.where(mixed, np.argmax(active, axis=1), 3),
-                          tol_active=float(tol_active))
+                          sample=np.where(mixed, np.argmax(active, axis=1), 3))
 
 
 def build_wh(mesh: Mesh, control: PostprocessedControl,

@@ -175,6 +175,18 @@ def test_solve_inadmissible_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_study_inadmissible_exit_1_before_opening_out(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    code = run_cli(["study", "--preset", "paper-sec6", "--levels", "2..4",
+                    "--alpha", "-3", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a0(x) + u = -1.000000e+00 < 0: coercivity is lost"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", ["NonconvergenceError",
                                    "LinearSolverError"])
 def test_solve_nonconvergence_exit_1(error, capsys, monkeypatch):

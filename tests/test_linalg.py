@@ -117,6 +117,11 @@ def test_dimension_mismatch():
         op.solve_spd(np.zeros(11))
 
 
+def test_non_square_matrix_rejected():
+    with pytest.raises(LinearSolverError, match="square"):
+        SparseSymOperator(sp.csr_matrix((3, 4)))
+
+
 def test_negative_diagonal_raises_coercivity():
     mesh = build_unit_square_mesh(2)
     reaction = constant_mass(mesh, -1.0)

@@ -324,6 +324,17 @@ def test_invalid_mesh_non_finite_vertex(bad):
              np.array([[0, 1, 2]]), 0)
 
 
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]],     # the area overflows
+    [[0.0, 0.0], [1e155, 0.0], [0.0, 1e-155]],    # area 0.5, h overflows
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]],      # the gradients overflow
+], ids=["area", "diameter", "gradient"])
+def test_invalid_mesh_overflowing_triangle(vertices):
+    # Finite coordinates: only the derived quantities are not finite.
+    with pytest.raises(MeshError, match="finite"), np.errstate(over="ignore"):
+        Mesh(np.array(vertices), np.array([[0, 1, 2]]), 0)
+
+
 def test_quasi_uniformity_equal_diameters():
     for level in (0, 2, 4):
         mesh = build_unit_square_mesh(level)

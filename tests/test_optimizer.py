@@ -99,6 +99,12 @@ def test_gradient_matches_central_difference():
     assert abs(derivative - fd) / (1.0 + abs(derivative)) <= 1e-5
 
 
+def eta_form(problem, v1, v2):
+    """The Hessian in directions v1, v2 through the optimizer's products."""
+    hv = problem.hessian_apply_values(v1.values)
+    return float(np.sum(problem.mesh.areas * hv * v2.values))
+
+
 def test_hessian_zero_direction():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
@@ -119,9 +125,8 @@ def test_hessian_reduces_to_tikhonov_for_linear_problem():
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     expected = spec.nu * float(np.sum(mesh.areas * v1.values * v2.values))
-    for form in ("z", "eta"):
-        value = optimizer.Linearization(spec, mesh, u).hessian(v1, v2,
-                                                               form=form)
+    problem = optimizer.Linearization(spec, mesh, u)
+    for value in (problem.hessian(v1, v2), eta_form(problem, v1, v2)):
         assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -135,7 +140,7 @@ def test_hessian_symmetry_and_form_agreement():
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     h12 = problem.hessian(v1, v2)
     h21 = problem.hessian(v2, v1)
-    heta = problem.hessian(v1, v2, form="eta")
+    heta = eta_form(problem, v1, v2)
     assert abs(h12 - h21) <= 1e-10 * (1.0 + abs(h12))
     assert abs(h12 - heta) <= 1e-8 * (1.0 + abs(h12))
 
@@ -289,11 +294,12 @@ def test_solve_ocp_warm_start():
     assert l2_diff_p0(warm.control, sol.control) <= 1e-8
 
 
-def test_solve_ocp_budget_error_carries_best():
+def test_solve_ocp_budget_error_carries_best(monkeypatch):
+    monkeypatch.setattr(optimizer, "_OUTER_MAX_ITERATIONS", 1)
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
     with pytest.raises(NonconvergenceError) as err:
-        optimizer.solve_ocp(spec, mesh, max_outer=1)
+        optimizer.solve_ocp(spec, mesh)
     best = err.value.report
     assert isinstance(best, optimizer.OcpSolution)
     assert not best.converged
@@ -341,8 +347,9 @@ def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
     monkeypatch.setattr(optimizer, "Linearization", Recording)
     monkeypatch.setattr(optimizer, "_reduced_cg",
                         lambda problem, rhs, *args: np.zeros_like(rhs))
+    monkeypatch.setattr(optimizer, "_OUTER_MAX_ITERATIONS", 6)
     with pytest.raises(NonconvergenceError):
-        optimizer.solve_ocp(spec, mesh, max_outer=6)
+        optimizer.solve_ocp(spec, mesh)
     projected = [spec.clamp(p.product_mean / spec.nu) for p in seen]
     kkt = [l2_diff_p0(p.u, P0Field(mesh, q)) for p, q in zip(seen, projected)]
     assert len(seen) == 6

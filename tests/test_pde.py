@@ -38,7 +38,6 @@ def test_manufactured_constant_solution(level):
     spec = linear_reaction_spec(1.0)
     mesh = build_unit_square_mesh(level)
     state, report = pde.solve_state(spec, mesh, P0Field.zeros(mesh))
-    assert report.converged
     assert report.residual <= 1e-12
     assert np.max(np.abs(state.values - 1.0)) <= 1e-12
 
@@ -231,21 +230,46 @@ def test_inadmissible_control_rejected():
                         P0Field(mesh, np.full(mesh.num_triangles, -3.0)))
 
 
-def test_newton_budget_error_carries_report():
+def test_validate_refuses_identically_vanishing_reaction():
+    # a0 = 0 and alpha = 0: a0 + alpha >= 0 holds, but it is zero
+    # everywhere.
+    spec = linear_reaction_spec(1.0).with_overrides(
+        reaction_floor=lambda x: np.zeros(x.shape[:-1]), alpha=0.0)
+    with pytest.raises(AdmissibilityError, match="vanishes identically"):
+        spec.validate(build_unit_square_mesh(1))
+
+
+def test_newton_damping_failure_carries_report(monkeypatch):
+    # The negated Newton direction is an ascent direction of the residual
+    # norm, so all 30 step halvings of the first iteration fail.
+    solve = SparseSymOperator.solve_spd
+    monkeypatch.setattr(SparseSymOperator, "solve_spd",
+                        lambda self, b, tol=1e-12: -solve(self, b, tol))
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(2)
+    with pytest.raises(NonconvergenceError,
+                       match="Newton damping failed") as err:
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh))
+    assert err.value.report.iterations == 1
+    assert err.value.report.damping_events == 30
+
+
+def test_newton_budget_error_carries_report(monkeypatch):
+    monkeypatch.setattr(pde, "_NEWTON_MAX_ITERATIONS", 1)
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)
     with pytest.raises(NonconvergenceError) as err:
-        pde.solve_state(spec, mesh, P0Field.zeros(mesh), max_iterations=1)
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh))
     assert err.value.report.iterations == 1
-    assert not err.value.report.converged
+    # paper-sec6 has no boundary flux, so the stopping scale is 1.
+    assert err.value.report.residual > 1e-11
 
 
-def test_newton_converging_on_last_allowed_step_succeeds():
+def test_newton_converging_on_last_allowed_step_succeeds(monkeypatch):
+    monkeypatch.setattr(pde, "_NEWTON_MAX_ITERATIONS", 1)
     spec = get_preset("manufactured-constant")
     mesh = build_unit_square_mesh(3)
-    _, report = pde.solve_state(spec, mesh, P0Field.zeros(mesh),
-                                max_iterations=1)
-    assert report.converged
+    _, report = pde.solve_state(spec, mesh, P0Field.zeros(mesh))
     assert report.iterations == 1
     assert report.residual <= 1e-12
 
@@ -263,7 +287,7 @@ def cosine_control(spec, mesh, rng):
     return np.clip(values, spec.alpha, spec.beta)
 
 
-def test_level8_newton_step_accepted_at_precision_floor():
+def test_level8_newton_step_accepted_at_precision_floor(monkeypatch):
     # At level 8 the solve of the step from y = 0 stops near a
     # relative residual of 1.2e-12 for this control; the test below holds
     # that solve to the precision floor.  Inside the state solve the
@@ -272,8 +296,9 @@ def test_level8_newton_step_accepted_at_precision_floor():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(8)
     values = cosine_control(spec, mesh, np.random.default_rng(40))
+    monkeypatch.setattr(pde, "_NEWTON_MAX_ITERATIONS", 1)
     try:
-        pde.solve_state(spec, mesh, P0Field(mesh, values), max_iterations=1)
+        pde.solve_state(spec, mesh, P0Field(mesh, values))
     except NonconvergenceError:
         pass
 
@@ -359,7 +384,6 @@ def test_state_newton_solves_to_the_forcing_term(flux, linear_tol,
         max(linear_tol, min(0.1, norm / scale)) for norm, _ in calls]
     assert calls[0][1] == 0.1
     assert calls[-1][1] < 1e-3
-    assert report.converged
     assert np.linalg.norm(state_residual(spec, mesh, u, y)) <= 1e-11 * scale
 
 

@@ -71,6 +71,19 @@ def test_postprocess_cross_error_on_constants():
                                    pp_fine) == pytest.approx(0.5, abs=1e-13)
 
 
+@pytest.mark.parametrize("prolonged", ["state", "adjoint"])
+def test_postprocess_cross_refuses_fields_off_the_fine_mesh(prolonged):
+    mesh = build_unit_square_mesh(1)
+    child = refine(mesh)
+    spec = box(-1.0, 1.0)
+    coarse = affine_control(mesh, spec, 0.25)
+    fields = {"state": coarse.state, "adjoint": coarse.adjoint}
+    fields[prolonged] = fem.prolong_p1(child, fields[prolonged])
+    with pytest.raises(OcfemError, match="not prolonged"):
+        postprocess_error_cross(fields["state"], fields["adjoint"],
+                                affine_control(child, spec, 0.25))
+
+
 def test_classify_all_active_and_all_inactive():
     mesh = build_unit_square_mesh(3)
     spec = box(-1.0, 1.0)
@@ -96,10 +109,15 @@ def test_classify_mixed_band():
 
 
 def test_classify_tolerance_default_with_infinite_upper_bound():
+    # With beta = inf a sample is active within 1e-6 max(1, |alpha|) = 2e-6
+    # of alpha = -2, so here where x1 <= 0.45: the mixed elements are the
+    # column 0.25 < x1 < 0.5 (1e-6 would move it to x1 < 0.25).
     mesh = build_unit_square_mesh(2)
-    result = classify_elements(mesh,
-                               affine_control(mesh, box(-2.0, np.inf), 0.0))
-    assert result.tol_active == pytest.approx(2e-6)
+    result = classify_elements(mesh, affine_control(
+        mesh, box(-2.0, np.inf), -2.0, 2e-6 / 0.45))
+    centers = barycenters(mesh)[result.t1]
+    assert np.all((centers[:, 0] > 0.25) & (centers[:, 0] < 0.5))
+    assert result.measure_t1 == pytest.approx(0.25)
 
 
 def test_build_wh_affine_all_pure():
