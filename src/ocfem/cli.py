@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import re
 import resource
 import sys
@@ -286,8 +287,7 @@ def _eta_form(problem, v1, v2) -> float:
     return float(np.sum(problem.mesh.areas * hv * v2.values))
 
 
-def _check_hessian_symmetry(problem, v1, v2) -> str:
-    h12 = _eta_form(problem, v1, v2)
+def _check_hessian_symmetry(problem, v1, v2, h12) -> str:
     h21 = _eta_form(problem, v2, v1)
     gap = abs(h12 - h21) / (1.0 + abs(h12))
     if gap > 1e-10:
@@ -295,10 +295,9 @@ def _check_hessian_symmetry(problem, v1, v2) -> str:
     return f"symmetry defect {gap:.2e}"
 
 
-def _check_z_eta(problem, v1, v2) -> str:
+def _check_z_eta(problem, v1, v2, h12) -> str:
     hz = problem.hessian(v1, v2)
-    he = _eta_form(problem, v1, v2)
-    gap = abs(hz - he) / (1.0 + abs(hz))
+    gap = abs(hz - h12) / (1.0 + abs(hz))
     if gap > 1e-8:
         raise OcfemError(f"z-form vs eta-form gap {gap:.3e}")
     return f"agreement gap {gap:.2e}"
@@ -319,6 +318,10 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
         except Exception as err:  # reported by each item that needs it
             fixture = err
 
+    @functools.cache
+    def h12():  # the eta form in (v1, v2), shared by two lines
+        return _eta_form(*fixture)
+
     items = [
         ("mesh-invariants", lambda: _check_mesh(mesh), False),
         ("quadrature-exactness", _check_quadrature, False),
@@ -327,8 +330,9 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
          False),
         ("manufactured-constant", lambda: _check_manufactured(mesh), False),
         ("gradient-fd", lambda: _check_gradient_fd(*fixture), True),
-        ("hessian-symmetry", lambda: _check_hessian_symmetry(*fixture), True),
-        ("z-eta-agreement", lambda: _check_z_eta(*fixture), True),
+        ("hessian-symmetry",
+         lambda: _check_hessian_symmetry(*fixture, h12()), True),
+        ("z-eta-agreement", lambda: _check_z_eta(*fixture, h12()), True),
     ]
     for name, fn, needs_admissible_data in items:
         if needs_admissible_data and fixture is None:

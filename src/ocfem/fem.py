@@ -317,9 +317,13 @@ def p0_weighted_p1_load(mesh: Mesh, v: P0Field, w: P1Field) -> np.ndarray:
 
 def elementwise_p1_product_mean(mesh: Mesh, a: P1Field, b: P1Field) -> np.ndarray:
     """Exact per-element mean ``(1/|T|) int_T a b`` for P1 factors, (nt,)."""
-    av = a.values[mesh.triangles]
-    bv = b.values[mesh.triangles]
-    return (np.sum(av * bv, axis=1) + av.sum(axis=1) * bv.sum(axis=1)) / 12.0
+    # np.sum's order of terms, spelled out: a reduction over the short
+    # axis costs about three times these column operations.
+    t = mesh.triangles
+    a0, a1, a2 = (a.values[t[:, k]] for k in range(3))
+    b0, b1, b2 = (b.values[t[:, k]] for k in range(3))
+    return (a0 * b0 + a1 * b1 + a2 * b2
+            + (a0 + a1 + a2) * (b0 + b1 + b2)) / 12.0
 
 
 def l2_project_p0(mesh: Mesh, fn) -> P0Field:

@@ -22,7 +22,7 @@ error ``max_i |r_i| / (|A||x| + |b|)_i`` (0/0 rows count as zero) of at
 most ``(m + 1) eps/2``, m the most nonzeros in a row: the rounding error
 of computing the residual itself (the term of LAPACK xGERFS's error bound).
 That error is not formed where ``||r|| > 2 floor (N ||x|| + ||b||)`` rules
-it out, N the largest row or column sum of |A| (a bound on its 2-norm).
+it out, N the largest row sum of |A| (a bound on its 2-norm, A symmetric).
 The iteration takes at most twenty steps (fewer triangular solves than one
 factorization costs) and stops early only when a step does not lower the
 residual.  Its inner products and norms are numpy sums of products, not
@@ -135,9 +135,10 @@ class SparseSymOperator:
         if self._floor is None:
             row_terms = np.diff(self.matrix.indptr).max() + 1
             self._floor = float(row_terms * np.finfo(float).eps / 2)
-            a = abs(self.matrix)
-            self._abs_norm = float(max(a.sum(axis=0).max(),
-                                       a.sum(axis=1).max()))
+            # fem's operators are symmetric to the bit with sorted indices,
+            # so these row sums of |A| are its column sums to the bit.
+            self._abs_norm = float(np.max(abs(self.matrix)
+                                          @ np.ones(self.n)))
         bound = self._abs_norm * norm(x) + norm_b
         return (norm_r <= 2.0 * self._floor * bound
                 and self._backward_error(x, r, b) <= self._floor)

@@ -15,6 +15,16 @@ solved by conjugate gradients in the elementwise L2 inner product with
 matrix-free Hessian products (one linearized solve plus one second-order
 solve per product, reusing the state operator).  All operators of one
 ``solve_ocp`` call share one factor slot (see ``ocfem.linalg``).
+
+The reduced CG and its products are inexact, aimed at the KKT stop
+``tol``.  At an iterate with residual kkt the CG stops at relative
+residual ``max(1e-10, 0.1 tol / kkt)``, enough for inexact Newton to keep
+its rate (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+The product at CG residual r_j solves its two systems to
+``max(linear_tol, 0.1 eta |r_0| / |r_j|)``, eta the CG's target: the
+product error may grow as the residual falls (Simoncini & Szyld, SIAM J.
+Sci. Comput. 25, 2003).  The state and adjoint solves, which define the
+KKT residual, keep ``linear_tol``.
 """
 from __future__ import annotations
 
@@ -94,16 +104,20 @@ class Linearization:
         return pde.solve_linearized(self.operator, self.state, v,
                                     linear_tol=self.linear_tol)
 
-    def hessian_apply_values(self, v_values: np.ndarray) -> np.ndarray:
+    def hessian_apply_values(self, v_values: np.ndarray,
+                             tol: float = None) -> np.ndarray:
         """Elementwise values of the Hessian image of a P0 direction.
 
         Second-derivative representation through the auxiliary solve:
-        ``(Hv)_T = nu v_T - mean_T(phi z_v + y eta_v)``.
+        ``(Hv)_T = nu v_T - mean_T(phi z_v + y eta_v)``.  Its two solves
+        meet the relative residual ``tol`` (``linear_tol`` if None).
         """
+        if tol is None:
+            tol = self.linear_tol
         v = P0Field(self.mesh, v_values)
-        z = self.solve_z(v)
+        z = pde.solve_linearized(self.operator, self.state, v, linear_tol=tol)
         eta = pde.solve_eta(self.operator, self.adjoint, z, v,
-                            self.curvature, linear_tol=self.linear_tol)
+                            self.curvature, linear_tol=tol)
         mean = fem.elementwise_p1_product_mean(self.mesh, self.adjoint, z)
         mean += fem.elementwise_p1_product_mean(self.mesh, self.state, eta)
         return self.spec.nu * v_values - mean
@@ -138,26 +152,32 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
     return tracking + tikhonov
 
 
-# Relative residual target and iteration budget of the reduced CG.
+# Floor of the reduced CG's relative residual target, and its iteration
+# budget.
 _CG_TOL = 1e-10
 _CG_MAX_ITERATIONS = 200
 _OUTER_MAX_ITERATIONS = 50  # iteration budget of solve_ocp
 
 
-def _reduced_cg(problem, rhs, inactive, areas):
+def _reduced_cg(problem, rhs, inactive, areas, tol):
     """CG on the inactive block of the Hessian in the elementwise L2 inner
-    product, preconditioned by 1/nu.  Truncated on indefiniteness."""
+    product, preconditioned by 1/nu, to relative residual ``tol``.
+    Truncated on indefiniteness.  The product at residual r_j solves to
+    ``max(linear_tol, 0.1 tol |r_0| / |r_j|)``, below 0.1 as
+    ``|r_j| > tol |r_0|`` until the stop: its error may grow as the
+    residual falls (Simoncini & Szyld, 2003)."""
     nu = problem.spec.nu
     x = np.zeros_like(rhs)
     r = np.where(inactive, rhs, 0.0)
-    rhs_norm = math.sqrt(float(np.sum(areas * r * r)))
+    rhs_norm = res = math.sqrt(float(np.sum(areas * r * r)))
     if rhs_norm == 0.0:
         return x
     z = r / nu
     p = z.copy()
     rz = float(np.sum(areas * r * z))
     for _ in range(_CG_MAX_ITERATIONS):
-        hp = problem.hessian_apply_values(p)
+        hp = problem.hessian_apply_values(
+            p, max(problem.linear_tol, 0.1 * tol * rhs_norm / res))
         hp = np.where(inactive, hp, 0.0)
         php = float(np.sum(areas * p * hp))
         if php <= 0.0:
@@ -168,7 +188,7 @@ def _reduced_cg(problem, rhs, inactive, areas):
         x += alpha * p
         r -= alpha * hp
         res = math.sqrt(float(np.sum(areas * r * r)))
-        if res <= _CG_TOL * rhs_norm:
+        if res <= tol * rhs_norm:
             break
         z = r / nu
         rz_new = float(np.sum(areas * r * z))
@@ -240,8 +260,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
             h_active = problem.hessian_apply_values(
                 np.where(inactive, 0.0, delta))
             rhs -= h_active
+        # Inexact Newton: a relative residual of 0.1 tol / kkt suffices for
+        # the stop (Dembo, Eisenstat & Steihaug, 1982); kkt > tol here.
         step = _reduced_cg(problem, np.where(inactive, rhs, 0.0), inactive,
-                           areas)
+                           areas, max(_CG_TOL, 0.1 * tol / kkt))
         u_values = spec.clamp(u_values + delta + step)
 
     best.cost = cost(spec, mesh, best.control, state=best.state)

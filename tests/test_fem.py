@@ -357,6 +357,20 @@ def test_integrate_matches_oracle():
         pytest.approx(gauss_product_integral(f), abs=1e-9)
 
 
+def test_product_mean_is_exact_and_bitwise_the_summed_form():
+    mesh = build_unit_square_mesh(5)
+    rng = np.random.default_rng(19)
+    a, b = (P1Field(mesh, rng.standard_normal(mesh.num_vertices))
+            for _ in range(2))
+    mean = fem.elementwise_p1_product_mean(mesh, a, b)
+    av, bv = a.values[mesh.triangles], b.values[mesh.triangles]
+    summed = (np.sum(av * bv, axis=1) + av.sum(axis=1) * bv.sum(axis=1)) / 12
+    assert np.array_equal(mean, summed)
+    # The degree-4 rule is exact for the quadratic a b.
+    exact = (a.at_quadrature() * b.at_quadrature()) @ TRIANGLE_RULE.weights
+    assert mean == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
 @pytest.mark.parametrize("integrand", [
     lambda mesh: (lambda x: x[..., 0]),
     lambda mesh: np.ones(mesh.num_triangles),

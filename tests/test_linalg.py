@@ -139,6 +139,26 @@ def test_assembled_system_with_admissible_weight_solves():
     assert np.linalg.norm(op.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_abs_norm_of_assembled_operator_is_its_largest_column_sum():
+    # Assembled operators are symmetric to the bit with sorted indices, so
+    # the row sums of |A| in index order, which set the floor's norm bound,
+    # are its column sums to the bit.  scipy's row sums associate in
+    # another order and may differ in the last bit.
+    mesh = build_unit_square_mesh(4)
+    rng = np.random.default_rng(12)
+    weight = rng.uniform(0.5, 2.0,
+                         (mesh.num_triangles, len(TRIANGLE_RULE.weights)))
+    op = SparseSymOperator(assemble_stiffness(mesh).matrix +
+                           assemble_weighted_mass(mesh, weight).matrix)
+    assert (op.matrix != op.matrix.T).nnz == 0
+    x = np.ones(mesh.num_vertices)
+    r = np.zeros(mesh.num_vertices)
+    op._at_floor(x, r, op.matvec(x), 0.0, 1.0)
+    a = abs(op.matrix)
+    assert op._abs_norm == a.sum(axis=0).max()
+    assert op._abs_norm == pytest.approx(a.sum(axis=1).max(), rel=1e-15)
+
+
 def test_solve_is_deterministic():
     op, _ = random_spd(40, seed=21)
     b = np.sin(np.arange(40.0))

@@ -4,6 +4,7 @@ Independent oracles: central finite differences of the cost, a 12-point
 degree-6 quadrature re-evaluation, and direct enumeration of the discrete
 variational inequality on tiny meshes.
 """
+import math
 import weakref
 
 import numpy as np
@@ -138,11 +139,12 @@ def test_hessian_symmetry_and_form_agreement():
     rng = np.random.default_rng(31)
     v1 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
     v2 = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
-    h12 = problem.hessian(v1, v2)
-    h21 = problem.hessian(v2, v1)
-    heta = eta_form(problem, v1, v2)
+    # Symmetry of the eta form: the z form is symmetric by construction.
+    h12 = eta_form(problem, v1, v2)
+    h21 = eta_form(problem, v2, v1)
+    hz = problem.hessian(v1, v2)
     assert abs(h12 - h21) <= 1e-10 * (1.0 + abs(h12))
-    assert abs(h12 - heta) <= 1e-8 * (1.0 + abs(h12))
+    assert abs(hz - h12) <= 1e-8 * (1.0 + abs(hz))
 
 
 def test_hessian_second_difference():
@@ -319,16 +321,90 @@ def test_solve_ocp_is_deterministic():
 def test_reduced_cg_negative_curvature_returns_preconditioned_residual():
     class NegativeHessian:
         spec = get_preset("paper-sec6")
+        linear_tol = 1e-12
 
-        def hessian_apply_values(self, v):
+        def hessian_apply_values(self, v, tol):
             return -v
 
     problem = NegativeHessian()
     rhs = np.array([1.0, -2.0, 0.5, 3.0])
     inactive = np.array([True, True, False, True])
     r = np.where(inactive, rhs, 0.0)
-    step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25))
+    step = optimizer._reduced_cg(problem, r, inactive, np.full(4, 0.25),
+                                 1e-10)
     assert np.array_equal(step, r / problem.spec.nu)
+
+
+class _StubHessian:
+    """``v -> d v + w <w, v>`` in the elementwise L2 inner product: SPD,
+    spectrum nu [1, 40] plus a rank-one term, applied exactly.  Records the
+    tolerance handed to each product."""
+
+    spec = get_preset("paper-sec6")
+    linear_tol = 1e-12
+
+    def __init__(self, areas):
+        rng = np.random.default_rng(37)
+        self.areas = areas
+        self.d = self.spec.nu * np.linspace(1.0, 40.0, areas.size)
+        self.w = rng.standard_normal(areas.size)
+        self.tols = []
+
+    def apply(self, v):
+        return self.d * v + self.w * float(np.sum(self.areas * self.w * v))
+
+    def hessian_apply_values(self, v, tol):
+        self.tols.append(tol)
+        return self.apply(v)
+
+
+def test_reduced_cg_meets_its_tolerance_with_relaxed_products():
+    n = 60
+    rng = np.random.default_rng(41)
+    areas = rng.uniform(0.5, 1.5, n) / n
+    inactive = rng.uniform(size=n) < 0.8
+    x_star = np.where(inactive, rng.standard_normal(n), 0.0)
+
+    def l2(x):
+        return math.sqrt(float(np.sum(areas * x * x)))
+
+    products = []
+    for tol in (1e-10, 1e-4):
+        problem = _StubHessian(areas)
+        rhs = np.where(inactive, problem.apply(x_star), 0.0)
+        step = optimizer._reduced_cg(problem, rhs, inactive, areas, tol)
+        assert not np.any(step[~inactive])
+        residual = np.where(inactive, rhs - problem.apply(step), 0.0)
+        assert l2(residual) <= tol * l2(rhs)
+        tols = problem.tols
+        products.append(len(tols))
+        # tau_0 = 0.1 tol; later ones grow as the residual falls, below 0.1.
+        assert tols[0] == pytest.approx(0.1 * tol, rel=1e-15)
+        assert all(problem.linear_tol <= t <= 0.1 for t in tols)
+        assert tols == sorted(tols)
+        assert tols[-1] > 10.0 * tols[0]
+    assert l2(step - x_star) > 1e-6 * l2(x_star)  # tol 1e-4 stopped early
+    assert products[1] < products[0]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_solve_ocp_aims_the_cg_tolerance_at_the_stop(monkeypatch, tol):
+    # Relative residual max(1e-10, 0.1 tol / kkt) for each Newton system;
+    # at tol 1e-12 the floor 1e-10 binds on the first iterations.
+    calls = []
+    reduced_cg = optimizer._reduced_cg
+
+    def recording(problem, rhs, inactive, areas, cg_tol):
+        calls.append((problem.kkt_residual, cg_tol))
+        return reduced_cg(problem, rhs, inactive, areas, cg_tol)
+
+    monkeypatch.setattr(optimizer, "_reduced_cg", recording)
+    sol = optimizer.solve_ocp(get_preset("paper-sec6"),
+                              build_unit_square_mesh(2), tol=tol)
+    assert sol.converged
+    assert len(calls) >= 2
+    assert [cg_tol for _, cg_tol in calls] == \
+        [max(1e-10, 0.1 * tol / kkt) for kkt, _ in calls]
 
 
 def test_solve_ocp_stall_guard_takes_damped_fixed_point_step(monkeypatch):
