@@ -368,9 +368,9 @@ def _memory_limit() -> float:
 
 def _check_memory(level: int) -> None:
     """Refuse a finest level whose run would not fit in memory, before any
-    mesh is built.  Measured peaks are 234 MiB at level 8, 756 MiB at 9 and
-    2.9 GB at 10 (3.2-3.8x per level); the estimate takes 234 MiB times 4
-    per level, the growth of the vertex count, so it bounds those peaks."""
+    mesh is built.  Measured peaks are 204-211 MiB at level 8, 683 MiB at 9
+    and 2.9 GB at 10 (measured before 8 and 9 shrank by 8-10 %); the estimate,
+    234 MiB times 4 per level (the vertex count's growth), bounds them."""
     check_level(level)
     need = 234.0 * 2 ** 20 * 4.0 ** (level - 8)
     have = _memory_limit()

@@ -3,7 +3,7 @@
 Element conventions
 -------------------
 * P1 basis functions on a triangle are the barycentric coordinates; their
-  gradients are constant per triangle and precomputed on the mesh.
+  gradients are constant per triangle, computed by ``Mesh.gradients``.
 * Integrals over a triangle use a symmetric quadrature rule stated in
   barycentric coordinates with weights summing to one, so that
   ``int_T f ~= |T| * sum_q w_q f(x_q)``.
@@ -180,7 +180,7 @@ def _stiffness_data(mesh: Mesh, diffusion) -> np.ndarray:
 
 def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
     """Local (nt, 3, 3) stiffness matrices."""
-    g = mesh.grads                                   # (nt, 3, 2)
+    g = mesh.gradients()                             # (nt, 3, 2)
     if diffusion is None:
         # Row by row, so the temporary is (nt, 3), not a second (nt, 3, 3).
         local = g[:, :, None, 0] * g[:, None, :, 0]
@@ -225,16 +225,18 @@ def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
 def _pattern(mesh: Mesh):
     """CSR ``(indptr, indices)`` of the P1 couplings of ``mesh`` and the
     position in ``indices`` of each of the 9 nt local entries, in the
-    row-major order of the local (nt, 3, 3) matrices."""
+    row-major order of the local (nt, 3, 3) matrices, in the index dtype."""
     def build():
         nv = mesh.num_vertices
-        tri = mesh.triangles.astype(np.int64)
-        keys = np.repeat(tri, 3, axis=1) * nv + np.tile(tri, (1, 3))
-        unique, slot = np.unique(keys.ravel(), return_inverse=True)
-        index = np.int32 if len(unique) <= np.iinfo(np.int32).max \
-            else np.int64
-        indptr = np.searchsorted(unique // nv, np.arange(nv + 1))
-        return indptr.astype(index), (unique % nv).astype(index), slot
+        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+        cols = np.tile(mesh.triangles, (1, 3)).ravel()
+        # COO to CSR sums duplicates without a sort; its keys come sorted.
+        csr = sp.csr_matrix((np.ones(len(rows), np.int8), (rows, cols)),
+                            shape=(nv, nv))
+        keys = np.repeat(np.arange(nv, dtype=np.int64) * nv,
+                         np.diff(csr.indptr)) + csr.indices
+        position = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
+        return csr.indptr, csr.indices, position.astype(csr.indices.dtype)
 
     return _per_mesh(mesh, "pattern", build)
 
@@ -248,9 +250,12 @@ def _operator_on_pattern(mesh: Mesh, data: np.ndarray,
 
 
 def _pattern_data(mesh: Mesh, local: np.ndarray) -> np.ndarray:
-    """Local (nt, 3, 3) matrices summed into the data of the mesh's pattern."""
+    """Local (nt, 3, 3) matrices summed into the data of the mesh's pattern,
+    in ``np.bincount``'s order but without its int64 copy of the positions."""
     _, indices, position = _pattern(mesh)
-    return np.bincount(position, local.ravel(), minlength=len(indices))
+    data = np.zeros(len(indices))
+    np.add.at(data, position, local.ravel())
+    return data
 
 
 def add_weighted_mass(mesh: Mesh, diffusion, weight,

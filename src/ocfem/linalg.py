@@ -71,6 +71,13 @@ class _PermutedFactor:
         return x
 
 
+def _symmetric_csc(matrix):
+    """The symmetric CSR ``matrix`` as CSC on its own, index-sorted arrays."""
+    matrix.sort_indices()
+    return sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr),
+                         shape=matrix.shape)
+
+
 class FactorSlot:
     """The latest factor of one operator, or of a chain of nearby
     operators that share it."""
@@ -117,7 +124,7 @@ class SparseSymOperator:
         perm = reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
         try:
             return _PermutedFactor(spla.splu(
-                self.matrix[perm][:, perm].tocsc(),
+                _symmetric_csc(self.matrix[perm][:, perm]),
                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True}), perm)
         except RuntimeError as exc:

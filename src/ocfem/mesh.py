@@ -44,8 +44,6 @@ class Mesh:
         Longest triangle diameter.
     areas : (nt,) array
         Signed triangle areas (validated positive).
-    grads : (nt, 3, 2) array
-        Gradients of the three barycentric coordinate functions.
     parent : Mesh or None
         Mesh this one was refined from, if any.
     midpoints : (ne, 2) int array or None
@@ -53,6 +51,7 @@ class Mesh:
         ``parent.num_vertices + k`` for row ``k``; None on a root mesh.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # MeshError, no warning
     def __init__(self, vertices, triangles, level,
                  _structure=None, _parent=None, _midpoints=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -74,18 +73,13 @@ class Mesh:
         self.areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
         if np.any(self.areas <= 0.0):
             raise MeshError("all triangles must have positive signed area")
-        # grad(lambda_i) = perp(opposite edge) / (2A), perp(d) = (-d_y, d_x)
-        opp = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], e01], axis=1)
-        self.grads = np.empty_like(opp)
-        self.grads[:, :, 0] = -opp[:, :, 1]
-        self.grads[:, :, 1] = opp[:, :, 0]
-        self.grads /= (2.0 * self.areas)[:, None, None]
-
         edges = p - np.roll(p, 1, axis=1)
         self.h = float(np.sqrt(np.max(np.sum(edges ** 2, axis=2))))
+        # |gradient| = |edge| / 2|T| by component: inf where the largest is.
+        steep = np.max(np.abs(edges), axis=(1, 2)) / (2.0 * self.areas)
         # Finite coordinates can still overflow an area, a gradient or h.
         if not all(np.all(np.isfinite(arr))
-                   for arr in (self.areas, self.grads, self.h)):
+                   for arr in (self.areas, steep, self.h)):
             raise MeshError("triangle areas, gradients and diameters must "
                             "be finite")
 
@@ -93,10 +87,18 @@ class Mesh:
         self.parent = _parent
         self.midpoints = None if _midpoints is None else \
             np.ascontiguousarray(_midpoints, dtype=_INDEX_DTYPE)
-        for arr in (self.vertices, self.triangles, self.areas, self.grads,
-                    self.midpoints):
+        for arr in (self.vertices, self.triangles, self.areas, self.midpoints):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def gradients(self, tri_idx=slice(None)) -> np.ndarray:
+        """Barycentric gradients of the triangles ``tri_idx``, (..., 3, 2)."""
+        p = self.vertices[self.triangles[tri_idx]]
+        # grad(lambda_i) = perp(opposite edge) / (2A), perp(d) = (-d_y, d_x)
+        opp = p[..., [2, 0, 1], :] - p[..., [1, 2, 0], :]
+        grads = np.stack([-opp[..., 1], opp[..., 0]], axis=-1)
+        grads /= (2.0 * self.areas[tri_idx])[..., None, None]
+        return grads
 
     @property
     def num_vertices(self) -> int:
@@ -223,7 +225,7 @@ def barycentric_coordinates(mesh: Mesh, tri_idx, points) -> np.ndarray:
     tri_idx = np.asarray(tri_idx, dtype=np.int64)
     points = np.asarray(points, dtype=float)
     p0 = mesh.vertices[mesh.triangles[tri_idx, 0]]
-    g = mesh.grads[tri_idx]                          # (..., 3, 2)
+    g = mesh.gradients(tri_idx)                      # (..., 3, 2)
     d = points - p0
     lam = np.einsum("...ij,...j->...i", g, d)
     lam[..., 0] += 1.0

@@ -402,7 +402,7 @@ def _reference_operator(mesh, local):
 
 
 def _local_stiffness(mesh, diffusion):
-    g = mesh.grads
+    g = mesh.gradients()
     if diffusion is None:
         coef = np.broadcast_to(np.eye(2), (mesh.num_triangles, 2, 2))
     else:
@@ -451,7 +451,7 @@ def test_assembly_matches_coo_oracle(level, diffusion):
 @pytest.mark.parametrize("level", range(9))
 def test_laplacian_stiffness_is_bitwise_the_einsum_kernel(level):
     mesh = build_unit_square_mesh(level)
-    g = mesh.grads
+    g = mesh.gradients()
     local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
     assert np.array_equal(assemble_stiffness(mesh).matrix.data,
                           fem._pattern_data(mesh, local))
@@ -560,3 +560,51 @@ def test_solve_state_with_anisotropic_diffusion():
     res += fem.p0_weighted_p1_load(mesh, u, y)
     res -= load
     assert np.linalg.norm(res) <= 1e-11 * (1.0 + np.linalg.norm(load))
+
+
+def _sorted_pattern(mesh):
+    """Oracle: the pattern and the local entries' positions by sorting the
+    9 nt keys ``row * nv + col`` with ``np.unique``."""
+    nv = mesh.num_vertices
+    tri = mesh.triangles.astype(np.int64)
+    keys = np.repeat(tri, 3, axis=1) * nv + np.tile(tri, (1, 3))
+    unique, position = np.unique(keys.ravel(), return_inverse=True)
+    return (np.searchsorted(unique // nv, np.arange(nv + 1)), unique % nv,
+            position)
+
+
+def _pattern_meshes():
+    meshes = [build_unit_square_mesh(level) for level in range(6)]
+    meshes += [refine(meshes[1]), refine(refine(meshes[1]))]
+    return meshes
+
+
+@pytest.mark.parametrize("mesh", _pattern_meshes(),
+                         ids=[f"l{j}" for j in range(6)] + ["r2", "r3"])
+def test_pattern_is_the_sorted_oracle_with_int32_positions(mesh):
+    indptr, indices, position = fem._pattern(mesh)
+    for got, want in zip((indptr, indices, position), _sorted_pattern(mesh)):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+    # Each local entry's position holds its column, in its row's range.
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    assert np.array_equal(indices[position], np.tile(tri, (1, 3)).ravel())
+    assert np.all(indptr[rows] <= position)
+    assert np.all(position < indptr[rows + 1])
+    # The boundary: the edges of one triangle only, in the oracle's order.
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                    tri[:, [2, 0]]]), axis=1)
+    pairs, count = np.unique(edges, axis=0, return_counts=True)
+    assert np.array_equal(fem._boundary_edges(mesh), pairs[count == 1])
+
+
+def test_resident_bytes_per_triangle_after_a_state_solve():
+    # What a solved level keeps: the mesh's arrays and fem's per-mesh store
+    # (pattern, stiffness data, quadrature points, boundary).  Stored int64
+    # positions or stored (nt, 3, 2) gradients would read about 291.
+    mesh = build_unit_square_mesh(5)
+    pde.solve_state(get_preset("paper-sec6"), mesh, P0Field.zeros(mesh))
+    arrays = [a for a in vars(mesh).values() if isinstance(a, np.ndarray)]
+    arrays += [a for stored in fem._PER_MESH[mesh].values() for a in stored]
+    assert sum(a.nbytes for a in arrays) <= 210 * mesh.num_triangles

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
                    TRIANGLE_RULE, build_unit_square_mesh,
                    assemble_volume_load, assemble_weighted_mass,
                    assemble_stiffness, fem, refine)
-from ocfem.linalg import FactorSlot
+from ocfem.linalg import FactorSlot, _symmetric_csc
 
 
 def constant_mass(mesh, weight):
@@ -404,3 +405,22 @@ def test_norm_bound_never_skips_a_solution_at_the_floor(spread):
             outcomes.add((at_floor, ruled_out))
     # At the floor, above it but not ruled out, and ruled out all occur.
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("level", range(2, 7))
+def test_symmetric_csc_is_the_permuted_csr_without_a_copy(level):
+    # A symmetric matrix's CSR arrays, indices sorted, are its CSC arrays:
+    # the factor's input equals scipy's conversion and reuses the arrays.
+    mesh = build_unit_square_mesh(level)
+    rng = np.random.default_rng(40 + level)
+    weight = rng.uniform(0.5, 2.0,
+                         (mesh.num_triangles, len(TRIANGLE_RULE.weights)))
+    a = fem.add_weighted_mass(mesh, None, weight).matrix
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    want = a[perm][:, perm].tocsc()
+    permuted = a[perm][:, perm]
+    got = _symmetric_csc(permuted)
+    assert got.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.shares_memory(getattr(got, name), getattr(permuted, name))

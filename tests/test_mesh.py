@@ -1,5 +1,6 @@
 """Mesh construction, refinement, prolongation and geometry queries."""
 import io
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,6 +334,36 @@ def test_invalid_mesh_overflowing_triangle(vertices):
     # Finite coordinates: only the derived quantities are not finite.
     with pytest.raises(MeshError, match="finite"), np.errstate(over="ignore"):
         Mesh(np.array(vertices), np.array([[0, 1, 2]]), 0)
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]],
+    [[0.0, 0.0], [1e155, 0.0], [0.0, 1e-155]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]],
+], ids=["area", "diameter", "gradient"])
+def test_invalid_mesh_overflow_raises_without_warnings(vertices):
+    # The refusal is the one message: no numpy overflow warning before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match="finite"):
+            Mesh(np.array(vertices), np.array([[0, 1, 2]]), 0)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_gradients_of_given_triangles_are_those_of_all(level):
+    # The given triangles' rows of the full (nt, 3, 2) array, bit for bit;
+    # grad(lambda_i) . (p_j - p_0) = lambda_i(p_j) - lambda_i(p_0).
+    mesh = refine(build_unit_square_mesh(level))
+    grads = mesh.gradients()
+    assert grads.shape == (mesh.num_triangles, 3, 2)
+    idx = np.random.default_rng(level).integers(0, mesh.num_triangles,
+                                                (4, 5))
+    assert np.array_equal(mesh.gradients(idx), grads[idx])
+    p = mesh.vertices[mesh.triangles]
+    np.testing.assert_allclose(
+        np.einsum("tid,tjd->tij", grads, p - p[:, :1]),
+        np.broadcast_to(np.eye(3) - [[1, 1, 1], [0, 0, 0], [0, 0, 0]],
+                        (mesh.num_triangles, 3, 3)), atol=1e-12)
 
 
 def test_quasi_uniformity_equal_diameters():
