@@ -129,11 +129,12 @@ def _write_lines(lines: List[str], stream) -> None:
 
 
 def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
-    mesh = build_unit_square_mesh(cfg.level)
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir:  # made before the solve: an unwritable path costs no solve
         out_dir.mkdir(parents=True, exist_ok=True)
-    solution = optimizer.solve_ocp(spec, mesh)
+    # Nested iteration from level min(3, L); only the finest is kept.
+    for solution, _ in study.continuation(spec, min(3, cfg.level), cfg.level):
+        mesh = solution.control.mesh
     summary = [
         f"preset={spec.name or cfg.preset}",
         f"level={cfg.level}",
@@ -368,9 +369,9 @@ def _memory_limit() -> float:
 
 def _check_memory(level: int) -> None:
     """Refuse a finest level whose run would not fit in memory, before any
-    mesh is built.  Measured peaks are 204-211 MiB at level 8, 683 MiB at 9
-    and 2.9 GB at 10 (measured before 8 and 9 shrank by 8-10 %); the estimate,
-    234 MiB times 4 per level (the vertex count's growth), bounds them."""
+    mesh is built.  Peaks: 207-210 MiB for ``solve`` at level 8, 204-211 MiB
+    for other runs; 683 MiB at 9 and 2.9 GB at 10, before an 8-10 % shrink.
+    The estimate, 234 MiB times 4 per level (vertex growth), bounds them."""
     check_level(level)
     need = 234.0 * 2 ** 20 * 4.0 ** (level - 8)
     have = _memory_limit()

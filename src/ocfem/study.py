@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
 from .fem import P0Field, P1Field
 from .mesh import Mesh, build_unit_square_mesh, check_level, refine
-from .optimizer import OcpSolution
 
 
 @dataclass
@@ -171,70 +170,75 @@ def build_wh(mesh: Mesh, control: PostprocessedControl,
     return P0Field(mesh, vals[:, 0])
 
 
+def continuation(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
+                 tol: float = 1e-9, newton_tol: float = 1e-11,
+                 linear_tol: float = 1e-12):
+    """Solve levels ``j_min..j_max`` by nested iteration: each level starts
+    from ``fields``, the previous level's (control, state, adjoint)
+    prolonged to its mesh (None at ``j_min``).  Yields ``(solution,
+    fields)`` per level and refines only after the yield.  A too fine
+    ``j_max`` raises ``MeshSizeError`` before any mesh is built."""
+    check_level(j_max)
+    mesh, fields = build_unit_square_mesh(j_min), None
+    for level in range(j_min, j_max + 1):
+        u_init, y_init, _ = fields or (None,) * 3
+        sol = optimizer.solve_ocp(spec, mesh, init=u_init, state_init=y_init,
+                                  tol=tol, newton_tol=newton_tol,
+                                  linear_tol=linear_tol)
+        yield sol, fields
+        if level < j_max:
+            mesh = refine(mesh)
+            fields = (fem.prolong_p0(mesh, sol.control),
+                      fem.prolong_p1(mesh, sol.state),
+                      fem.prolong_p1(mesh, sol.adjoint))
+
+
 def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
               tol: float = 1e-9, newton_tol: float = 1e-11,
               linear_tol: float = 1e-12,
               progress: Optional[Callable] = None) -> List[StudyRecord]:
-    """Solve the control problem on levels ``j_min..j_max`` and tabulate.
+    """Tabulate ``continuation`` on levels ``j_min..j_max``.
 
     Consecutive-level differences are measured by exact prolongation; rows
-    are produced for ``j_min..j_max-1``.  A ``j_max`` too fine for the
-    vertex index type raises ``MeshSizeError`` before any mesh is built.
-    Nonconvergence or a failed linear solve at any level aborts with the
-    rows computed so far attached to the error as ``report``.
+    are produced for ``j_min..j_max-1``.  Nonconvergence or a failed linear
+    solve at any level aborts with the rows computed so far attached to
+    the error as ``report``.
     """
     if not (0 <= j_min < j_max):
         raise OcfemError("levels must satisfy 0 <= j_min < j_max")
-    check_level(j_max)
-    meshes = [build_unit_square_mesh(j_min)]
-    for _ in range(j_min, j_max):
-        meshes.append(refine(meshes[-1]))
-
-    solutions: List[OcpSolution] = []
-    # Each level's control, state and adjoint, prolonged to the next level.
-    prolonged: List[Tuple[P0Field, P1Field, P1Field]] = []
-    for idx, mesh in enumerate(meshes):
-        level = j_min + idx
-        u_init, y_init, _ = prolonged[-1] if prolonged else (None,) * 3
-        try:
-            sol = optimizer.solve_ocp(spec, mesh, init=u_init,
-                                      state_init=y_init, tol=tol,
-                                      newton_tol=newton_tol,
-                                      linear_tol=linear_tol)
-        except (NonconvergenceError, LinearSolverError) as err:
-            err.args = (f"study aborted at level {level}: {err}",)
-            err.report = _build_records(spec, meshes, solutions, prolonged,
-                                        j_min)
-            raise
-        solutions.append(sol)
-        if progress is not None:
-            progress(level, sol)
-        if idx + 1 < len(meshes):
-            child = meshes[idx + 1]
-            prolonged.append((fem.prolong_p0(child, sol.control),
-                              fem.prolong_p1(child, sol.state),
-                              fem.prolong_p1(child, sol.adjoint)))
-    return _build_records(spec, meshes, solutions, prolonged, j_min)
+    pairs = []
+    try:
+        for sol, fields in continuation(spec, j_min, j_max, tol=tol,
+                                        newton_tol=newton_tol,
+                                        linear_tol=linear_tol):
+            pairs.append((sol, fields))
+            if progress is not None:
+                progress(sol.control.mesh.level, sol)
+    except (NonconvergenceError, LinearSolverError) as err:
+        err.args = (f"study aborted at level {j_min + len(pairs)}: {err}",)
+        err.report = _build_records(spec, pairs)
+        raise
+    return _build_records(spec, pairs)
 
 
-def _build_records(spec, meshes, solutions, prolonged, j_min):
+def _build_records(spec, pairs):
+    """One row per consecutive pair of ``continuation``'s yields."""
     rows: List[StudyRecord] = []
-    n_pairs = max(len(solutions) - 1, 0)
-    if n_pairs:
-        last = solutions[-1]
+    if len(pairs) > 1:
+        last = pairs[-1][0]
         reference = PostprocessedControl(spec, last.state, last.adjoint)
-    for i in range(n_pairs):
-        coarse, fine = solutions[i], solutions[i + 1]
-        control, state, adjoint = prolonged[i]
+    for (coarse, _), (fine, prolonged) in zip(pairs, pairs[1:]):
+        control, state, adjoint = prolonged
+        mesh = coarse.control.mesh
         e_u = fem.l2_diff_p0(control, fine.control)
         e_y = fem.l2_diff_p1(state, fine.state)
         e_phi = fem.l2_diff_p1(adjoint, fine.adjoint)
         pp_fine = PostprocessedControl(spec, fine.state, fine.adjoint)
         e_upost = postprocess_error_cross(state, adjoint, pp_fine)
-        measure = classify_elements(meshes[i], reference).measure_t1
+        measure = classify_elements(mesh, reference).measure_t1
         prev = rows[-1] if rows else None
         rows.append(StudyRecord(
-            level=j_min + i, h=meshes[i].h,
+            level=mesh.level, h=mesh.h,
             e_u=e_u, e_y=e_y, e_phi=e_phi, e_upost=e_upost,
             eoc_u=eoc(prev.e_u, e_u) if prev else None,
             eoc_y=eoc(prev.e_y, e_y) if prev else None,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
 
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -79,6 +80,15 @@ def test_solve_writes_summary_and_fields(tmp_path, capsys):
     assert all(float(v) == 0.0 for v in control[1:])
     assert (out / "state.txt").read_text().startswith("p1 25")
     assert (out / "adjoint.txt").read_text().startswith("p1 25")
+
+
+def test_solve_emits_the_mesh_refined_from_level_3(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--level", "4", "--out", str(out),
+                    "--emit-fields"]) == 0
+    expected = io.StringIO()
+    ocfem.refine(ocfem.build_unit_square_mesh(3)).write_text(expected)
+    assert (out / "mesh.txt").read_text() == expected.getvalue()
 
 
 def test_solve_tikhonov_control_is_zero(tmp_path):
@@ -201,6 +211,24 @@ def test_solve_nonconvergence_exit_1(error, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: forced failure"]
+
+
+def test_solve_failure_on_a_coarser_level_exit_1(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+
+    real = cli_mod.study.optimizer.solve_ocp
+
+    def fails_at_level_3(spec, mesh, *args, **kwargs):
+        if mesh.level == 3:
+            raise ocfem.NonconvergenceError("forced failure")
+        return real(spec, mesh, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.study.optimizer, "solve_ocp",
+                        fails_at_level_3)
+    assert run_cli(["solve", "--level", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: forced failure"]
 
 
 def test_study_partial_csv_on_failure(tmp_path, capsys, monkeypatch):
@@ -344,6 +372,22 @@ def test_check_reports_a_broken_mesh(capsys, monkeypatch):
     assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
     assert ("FAIL mesh-invariants: non-conforming: an edge is shared by >2 "
             "triangles") in capsys.readouterr().out.splitlines()
+
+
+def test_check_reports_a_nonsymmetric_hessian(capsys, monkeypatch):
+    import ocfem.cli as cli_mod
+
+    linearization = cli_mod.optimizer.Linearization
+    real = linearization.hessian_apply_values
+
+    def skewed(self, v_values, *args, **kwargs):
+        return real(self, v_values, *args, **kwargs) + \
+            1e-3 * np.roll(v_values, 1)
+
+    monkeypatch.setattr(linearization, "hessian_apply_values", skewed)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL hessian-symmetry:") for line in lines)
 
 
 def test_solve_output_is_the_same_under_one_and_two_blas_threads():

@@ -230,6 +230,21 @@ def test_inadmissible_control_rejected():
                         P0Field(mesh, np.full(mesh.num_triangles, -3.0)))
 
 
+@pytest.mark.parametrize("excess, refused", [(1e-9, True), (1e-13, False)])
+def test_check_control_threshold(excess, refused):
+    # The flagship's a0 = 2: a control of -2 - excess on one triangle puts
+    # a0 + u at -excess there; round-off below 1e-12 is accepted.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(2)
+    values = np.zeros(mesh.num_triangles)
+    values[5] = -2.0 - excess
+    if refused:
+        with pytest.raises(AdmissibilityError, match="coercivity is lost"):
+            spec.check_control(mesh, P0Field(mesh, values))
+    else:
+        spec.check_control(mesh, P0Field(mesh, values))
+
+
 def test_validate_refuses_identically_vanishing_reaction():
     # a0 = 0 and alpha = 0: a0 + alpha >= 0 holds, but it is zero
     # everywhere.

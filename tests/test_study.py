@@ -120,6 +120,23 @@ def test_classify_tolerance_default_with_infinite_upper_bound():
     assert result.measure_t1 == pytest.approx(0.25)
 
 
+def test_classify_tolerance_default_with_finite_bounds():
+    # With beta - alpha = 4 a sample is active within 1e-6 (beta - alpha)
+    # of a bound.  The control rises from alpha (clamped) through
+    # 1e-7 (beta - alpha) above it at x1 = 0.25, active, to
+    # 1e-5 (beta - alpha) above it at x1 = 0.5, inactive: the mixed
+    # elements are the column 0.25 < x1 < 0.5.
+    mesh = build_unit_square_mesh(2)
+    alpha, width = -2.0, 4.0
+    slope = 4.0 * (1e-5 - 1e-7) * width
+    offset = alpha + 1e-7 * width - 0.25 * slope
+    result = classify_elements(mesh, affine_control(
+        mesh, box(alpha, alpha + width), offset, slope))
+    centers = barycenters(mesh)[result.t1]
+    assert np.all((centers[:, 0] > 0.25) & (centers[:, 0] < 0.5))
+    assert result.measure_t1 == pytest.approx(0.25)
+
+
 def test_build_wh_affine_all_pure():
     mesh = build_unit_square_mesh(3)
     control = affine_control(mesh, box(-10.0, 10.0), 0.25, 0.5, -0.125)
@@ -214,6 +231,30 @@ def test_run_study_reproduces_the_pinned_table():
         assert got_row[:kkt] + got_row[kkt + 1:] == \
             expected_row[:kkt] + expected_row[kkt + 1:]
     assert all(float(row[kkt]) <= 1e-9 for row in got[1:])
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_continuation_matches_a_cold_solve(level):
+    spec = get_preset("paper-sec6")
+    for warm, _ in study.continuation(spec, 3, level):
+        pass
+    cold = optimizer.solve_ocp(spec, build_unit_square_mesh(level))
+    assert warm.control.mesh.level == level
+    assert warm.kkt_residual <= 1e-9
+    assert warm.cost == pytest.approx(cold.cost, rel=1e-10)
+
+
+def test_continuation_yields_each_level_with_its_prolonged_fields():
+    seen = []
+    for sol, fields in study.continuation(get_preset("paper-sec6"), 3, 5):
+        mesh = sol.control.mesh
+        seen.append(mesh.level)
+        if mesh.level == 3:
+            assert fields is None
+        else:
+            assert len(fields) == 3
+            assert all(field.mesh is mesh for field in fields)
+    assert seen == [3, 4, 5]
 
 
 def test_run_study_attaches_partial_results(monkeypatch):
