@@ -314,8 +314,11 @@ def p0_weighted_p1_load(mesh: Mesh, v: P0Field, w: P1Field) -> np.ndarray:
 
     Uses the exact local mass action ``|T|/12 (w_loc + sum(w_loc))``.
     """
+    # np.sum's order of terms, spelled out as in
+    # elementwise_p1_product_mean.
     w_loc = w.values[mesh.triangles]                  # (nt, 3)
-    action = (w_loc + w_loc.sum(axis=1, keepdims=True)) / 12.0
+    total = w_loc[:, 0] + w_loc[:, 1] + w_loc[:, 2]
+    action = (w_loc + total[:, None]) / 12.0
     contrib = (v.values * mesh.areas)[:, None] * action
     return _scatter_nodal(mesh, contrib)
 

@@ -45,11 +45,15 @@ class ProblemSpec:
 
     Evaluator conventions: point arguments are arrays of shape (..., 2),
     state arguments arrays of shape (...); results broadcast to (...).
-    ``objective`` may be None for a vanishing tracking term (pure Tikhonov
-    cost).  ``beta`` may be ``math.inf`` for controls unbounded above.
+    The state's nonlinearity is a(x, y) = ``reaction(x, y) - source(x)``,
+    with an x-only ``source``; the derivatives and the floor of a are those
+    of the reaction.  ``objective`` may be None for a vanishing tracking
+    term (pure Tikhonov cost).  ``beta`` may be ``math.inf`` for controls
+    unbounded above.
     """
 
-    nonlinearity: Callable          # a(x, y)
+    reaction: Callable              # r(x, y)
+    source: Callable                # f(x); a(x, y) = r(x, y) - f(x)
     nonlinearity_dy: Callable       # da/dy(x, y)
     nonlinearity_dyy: Callable      # d2a/dy2(x, y)
     reaction_floor: Callable        # a0(x), lower bound for da/dy
@@ -71,6 +75,12 @@ class ProblemSpec:
                 raise AdmissibilityError(f"bound {name} is nan")
         if not self.alpha < self.beta:
             raise AdmissibilityError("bounds must satisfy alpha < beta")
+
+    @property
+    def nonlinearity(self) -> Callable:
+        """a(x, y) = ``reaction(x, y) - source(x)``."""
+        reaction, source = self.reaction, self.source
+        return lambda x, y: reaction(x, y) - source(x)
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         """``values`` projected onto the box [alpha, beta]."""
@@ -138,8 +148,10 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
                 linear_tol: float = 1e-12, slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
-    Returns ``(P1Field, SolveReport)``.  The residual is driven below
-    ``tol * scale``, ``scale = 1 + ||boundary load||``; the Newton
+    Returns ``(P1Field, SolveReport)``.  The residual
+    ``K y + load(reaction) + M_u y - g - load(source)`` is driven below
+    ``tol * scale``, ``scale = 1 + ||g||`` (g the boundary load); its
+    x-only part ``g + load(source)`` is assembled once per call.  The Newton
     direction uses the exact tangent (stiffness plus reaction mass with
     weight da/dy + u), solved to the forcing term
     ``max(linear_tol, min(0.1, ||F_k|| / scale))`` at the residual F_k:
@@ -153,12 +165,13 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     load = fem.assemble_boundary_load(mesh, spec.boundary_flux)
     scale = 1.0 + norm(load)
     pts = fem.quadrature_points(mesh)
+    load += fem.assemble_volume_load(mesh, fem.at_points(spec.source, pts))
 
     def residual(values):
         y = P1Field(mesh, values)
         res = stiffness.matvec(values)
         res += fem.assemble_volume_load(
-            mesh, fem.at_points(spec.nonlinearity, pts, y.at_quadrature()))
+            mesh, fem.at_points(spec.reaction, pts, y.at_quadrature()))
         res += fem.p0_weighted_p1_load(mesh, u, y)
         res -= load
         return res

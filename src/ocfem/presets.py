@@ -14,15 +14,20 @@ def _flagship() -> ProblemSpec:
     """Bilinear control of a monotone quartic reaction on the unit square.
 
     State equation: -Laplace(y) + y^3|y| + 2y - 100 sin(2 pi x1) sin(pi x2)
-    + u y = 0 with homogeneous Neumann data; tracking target
+    + u y = 0 with homogeneous Neumann data, split into the reaction
+    r(x, y) = y^3|y| + 2y and the x-only source
+    f(x) = 100 sin(2 pi x1) sin(pi x2), a = r - f; tracking target
     y_d = -64 x1 (1-x1) x2 (1-x2); nu = 0.05; bounds [-1, 1].
     """
     # Plain products, not ``**``: numpy's pow is slow and takes different
     # paths for negative and positive bases, which breaks the exact oddness
     # of y^3|y| in the last bit.
-    def nonlinearity(x, y):
-        return y * y * y * np.abs(y) + 2.0 * y - \
-            100.0 * np.sin(2.0 * np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    def reaction(x, y):
+        return y * y * y * np.abs(y) + 2.0 * y
+
+    def source(x):
+        return 100.0 * np.sin(2.0 * np.pi * x[..., 0]) * \
+            np.sin(np.pi * x[..., 1])
 
     def nonlinearity_dy(x, y):
         a = np.abs(y)
@@ -36,7 +41,8 @@ def _flagship() -> ProblemSpec:
             x[..., 1] * (1.0 - x[..., 1])
 
     return ProblemSpec(
-        nonlinearity=nonlinearity,
+        reaction=reaction,
+        source=source,
         nonlinearity_dy=nonlinearity_dy,
         nonlinearity_dyy=nonlinearity_dyy,
         reaction_floor=lambda x: np.full(x.shape[:-1], 2.0),
@@ -64,13 +70,15 @@ def _tikhonov_only() -> ProblemSpec:
 def _manufactured_constant() -> ProblemSpec:
     """Linear reaction with constant exact solution y = 1 at u = 0.
 
-    -Laplace(y) + (y - 1) = 0 with zero Neumann data; the constant one is
-    an exact member of the discrete space, so every level solves it to
-    round-off.  The tracking target is the same constant, which makes the
-    zero control optimal with a vanishing adjoint.
+    -Laplace(y) + (y - 1) = 0 with zero Neumann data, the reaction y and
+    the constant source 1; the constant one is an exact member of the
+    discrete space, so every level solves it to round-off.  The tracking
+    target is the same constant, which makes the zero control optimal
+    with a vanishing adjoint.
     """
     return ProblemSpec(
-        nonlinearity=lambda x, y: y - 1.0,
+        reaction=lambda x, y: y,
+        source=lambda x: np.ones(x.shape[:-1]),
         nonlinearity_dy=lambda x, y: np.ones(np.broadcast(x[..., 0], y).shape),
         nonlinearity_dyy=lambda x, y: np.zeros(np.broadcast(x[..., 0], y).shape),
         reaction_floor=lambda x: np.ones(x.shape[:-1]),

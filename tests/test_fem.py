@@ -371,6 +371,24 @@ def test_product_mean_is_exact_and_bitwise_the_summed_form():
     assert mean == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
+def test_p0_weighted_load_is_exact_and_bitwise_the_summed_form():
+    mesh = build_unit_square_mesh(4)
+    rng = np.random.default_rng(23)
+    v = P0Field(mesh, rng.standard_normal(mesh.num_triangles))
+    w = P1Field(mesh, rng.standard_normal(mesh.num_vertices))
+    load = fem.p0_weighted_p1_load(mesh, v, w)
+    w_loc = w.values[mesh.triangles]
+    action = (w_loc + np.sum(w_loc, axis=1, keepdims=True)) / 12.0
+    summed = np.bincount(
+        mesh.triangles.ravel(),
+        weights=((v.values * mesh.areas)[:, None] * action).ravel(),
+        minlength=mesh.num_vertices)
+    assert np.array_equal(load, summed)
+    # The degree-4 rule is exact for the quadratic integrand v w phi_i.
+    exact = assemble_volume_load(mesh, v.values[:, None] * w.at_quadrature())
+    assert load == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
 @pytest.mark.parametrize("integrand", [
     lambda mesh: (lambda x: x[..., 0]),
     lambda mesh: np.ones(mesh.num_triangles),

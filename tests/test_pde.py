@@ -25,7 +25,8 @@ def zeros_like(x, y):
 def linear_reaction_spec(shift):
     """a(x, y) = y - shift: linear monotone reaction."""
     return ProblemSpec(
-        nonlinearity=lambda x, y: y - shift,
+        reaction=lambda x, y: y,
+        source=lambda x: np.full(x.shape[:-1], shift),
         nonlinearity_dy=ones_like,
         nonlinearity_dyy=zeros_like,
         reaction_floor=lambda x: np.ones(x.shape[:-1]),
@@ -438,3 +439,44 @@ def test_cold_state_solve_factors_once(level, controls, newton_steps,
         assert len(factorizations) == 1
         assert abandoned == []
         assert report.iterations <= newton_steps
+
+
+def counted(fn, counts, key):
+    """``fn`` wrapped to count its calls in ``counts[key]``."""
+    def wrapped(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapped
+
+
+def test_state_solve_assembles_the_source_once(monkeypatch):
+    # The x-only source is evaluated once per call, the reaction once per
+    # residual: the first, then one per trial step of each Newton step.
+    base = get_preset("paper-sec6")
+    counts = {"reaction": 0, "source": 0}
+    spec = base.with_overrides(
+        reaction=counted(base.reaction, counts, "reaction"),
+        source=counted(base.source, counts, "source"))
+    monkeypatch.setattr(pde.ProblemSpec, "nonlinearity", property(
+        lambda self: pytest.fail("solve_state evaluated a(x, y)")))
+    mesh = build_unit_square_mesh(5)
+    u = P0Field(mesh, cosine_control(spec, mesh, np.random.default_rng(7)))
+    _, report = pde.solve_state(spec, mesh, u)
+    assert report.iterations >= 4
+    assert counts == {
+        "reaction": 1 + report.iterations + report.damping_events,
+        "source": 1}
+
+
+def test_source_folded_into_the_reaction_reaches_the_same_state():
+    spec = get_preset("paper-sec6")
+    folded = spec.with_overrides(
+        reaction=lambda x, y: spec.reaction(x, y) - spec.source(x),
+        source=lambda x: np.zeros(x.shape[:-1]))
+    mesh = build_unit_square_mesh(5)
+    u = P0Field(mesh, cosine_control(spec, mesh, np.random.default_rng(8)))
+    y, report = pde.solve_state(spec, mesh, u)
+    y_folded, report_folded = pde.solve_state(folded, mesh, u)
+    assert report_folded.iterations == report.iterations
+    assert np.linalg.norm(y_folded.values - y.values) <= \
+        1e-12 * np.linalg.norm(y.values)

@@ -2,7 +2,30 @@
 import numpy as np
 import pytest
 
-from ocfem import get_preset
+from ocfem import PRESET_NAMES, get_preset
+
+
+def _flagship_closed_form(x, y):
+    return y * y * y * np.abs(y) + 2.0 * y - \
+        100.0 * np.sin(2.0 * np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+
+
+# a(x, y) of each preset written as one expression: the reference that
+# reaction(x, y) - source(x) must reproduce bit for bit.
+CLOSED_FORMS = {
+    "paper-sec6": _flagship_closed_form,
+    "tikhonov-only": _flagship_closed_form,
+    "manufactured-constant": lambda x, y: y - 1.0,
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_nonlinearity_is_bitwise_the_closed_form(name):
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.0, 1.0, (10_000, 2))
+    y = 3.0 * rng.standard_normal(10_000)
+    assert np.array_equal(get_preset(name).nonlinearity(x, y),
+                          CLOSED_FORMS[name](x, y))
 
 
 @pytest.fixture(scope="module")
