@@ -9,8 +9,9 @@ outer iteration, and ``ocfem check`` one for its derivative checks.
 
 The outer solver is a primal-dual active-set (semismooth Newton) method on
 the projection-formula residual ``u - Proj((1/nu) * elementwise_mean(y*phi))``:
-elements are classified by the current multiplier, active values are fixed
-at their bound, and the reduced Newton system on the inactive elements is
+an element is active where the projection moves ``mean_T(y phi) / nu``
+(``Linearization.active``), active values are fixed at their projected
+bound, and the reduced Newton system on the inactive elements is
 solved by conjugate gradients in the elementwise L2 inner product with
 matrix-free Hessian products (one linearized solve plus one second-order
 solve per product, reusing the state operator).  All operators of one
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import fem, pde
-from .errors import NonconvergenceError
+from .errors import MeshError, NonconvergenceError
 from .fem import P0Field, P1Field
 from .linalg import FactorSlot
 from .mesh import Mesh
@@ -83,10 +84,13 @@ class Linearization:
         # Elementwise gradient nu u_T - mean_T(y phi) (exact means): the
         # derivative in a P0 direction v is sum_T gradient_T v_T |T|.
         self.gradient = spec.nu * u.values - self.product_mean
-        # Projection formula and the L2 distance of u from its image.
-        self.projected_control = spec.clamp(self.product_mean / spec.nu)
-        diff = u.values - self.projected_control
-        self.kkt_residual = math.sqrt(float(np.sum(mesh.areas * diff * diff)))
+        # Projection formula, its active set (where the box moves the
+        # image), and the L2 distance of u from the projection.
+        q = self.product_mean / spec.nu
+        self.projected_control = spec.clamp(q)
+        self.active = self.projected_control != q
+        self.kkt_residual = fem.l2_diff_p0(
+            u, P0Field(mesh, self.projected_control))
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -96,13 +100,8 @@ class Linearization:
         pts = fem.quadrature_points(self.mesh)
         yq = self.state.at_quadrature()
         d2a = fem.at_points(spec.nonlinearity_dyy, pts, yq)
-        d2l = (0.0 if spec.objective_dyy is None else
-               fem.at_points(spec.objective_dyy, pts, yq))
+        d2l = fem.at_points(spec.objective_dyy, pts, yq)
         return d2l - self.adjoint.at_quadrature() * d2a
-
-    def solve_z(self, v: P0Field) -> P1Field:
-        return pde.solve_linearized(self.operator, self.state, v,
-                                    linear_tol=self.linear_tol)
 
     def hessian_apply_values(self, v_values: np.ndarray,
                              tol: float = None) -> np.ndarray:
@@ -127,8 +126,10 @@ class Linearization:
         the symmetric two-solve expression.  It agrees to solver tolerance
         with ``sum(|T| * hessian_apply_values(v1) * v2)``."""
         mesh, phi, nu = self.mesh, self.adjoint, self.spec.nu
-        z1 = self.solve_z(v1)
-        z2 = z1 if v2 is v1 else self.solve_z(v2)
+        operator, y, tol = self.operator, self.state, self.linear_tol
+        z1 = pde.solve_linearized(operator, y, v1, linear_tol=tol)
+        z2 = z1 if v2 is v1 else pde.solve_linearized(operator, y, v2,
+                                                      linear_tol=tol)
         current = fem.integrate(
             mesh, self.curvature * z1.at_quadrature() * z2.at_quadrature())
         cross = fem.elementwise_p1_product_mean(mesh, z2, phi) * v1.values
@@ -143,11 +144,8 @@ def cost(spec: pde.ProblemSpec, mesh: Mesh, u: P0Field, *,
     """Discrete objective at u (state solved from ``init`` if absent)."""
     if state is None:
         state, _ = pde.solve_state(spec, mesh, u, init=init)
-    tracking = 0.0
-    if spec.objective is not None:
-        tracking = fem.integrate(mesh, fem.at_points(
-            spec.objective, fem.quadrature_points(mesh),
-            state.at_quadrature()))
+    tracking = fem.integrate(mesh, fem.at_points(
+        spec.objective, fem.quadrature_points(mesh), state.at_quadrature()))
     tikhonov = 0.5 * spec.nu * float(np.sum(mesh.areas * u.values ** 2))
     return tracking + tikhonov
 
@@ -208,10 +206,11 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     sufficiency at the computed point.
     """
     spec.validate(mesh)
-    areas = mesh.areas
+    if init is not None and init.mesh is not mesh:
+        raise MeshError("the initial control lives on another mesh")
     slot = FactorSlot()
-    u_values = spec.clamp(np.zeros(mesh.num_triangles) if init is None
-                          else init.values)
+    u = P0Field(mesh, spec.clamp(np.zeros(mesh.num_triangles) if init is None
+                                 else init.values))
     y_guess = state_init
     best: Optional[OcpSolution] = None
     last_kkt = math.inf
@@ -221,52 +220,44 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
         # Release the previous problem, and its operator, before the next
         # one is built.
         problem = None
-        problem = Linearization(spec, mesh, P0Field(mesh, u_values),
-                                state_init=y_guess, newton_tol=newton_tol,
-                                linear_tol=linear_tol, slot=slot)
+        problem = Linearization(spec, mesh, u, state_init=y_guess,
+                                newton_tol=newton_tol, linear_tol=linear_tol,
+                                slot=slot)
         y_guess = problem.state
         kkt = problem.kkt_residual
         if best is None or kkt < best.kkt_residual:
-            best = OcpSolution(control=P0Field(mesh, u_values.copy()),
-                               state=problem.state, adjoint=problem.adjoint,
-                               cost=math.nan, kkt_residual=kkt,
-                               outer_iterations=it, converged=False,
+            best = OcpSolution(control=u, state=problem.state,
+                               adjoint=problem.adjoint, cost=math.nan,
+                               kkt_residual=kkt, outer_iterations=it,
+                               converged=kkt <= tol,
                                state_report=problem.report)
         if kkt <= tol:
             # Every earlier iterate had a residual above tol, so ``best`` is
             # this iterate.
-            best.cost = cost(spec, mesh, best.control, state=best.state)
-            best.converged = True
-            return best
+            break
 
         stall = stall + 1 if kkt >= last_kkt else 0
         last_kkt = kkt
         if stall >= 3:
             # Damped fixed-point safeguard against local nonconvexity.
-            u_values = 0.5 * u_values + 0.5 * problem.projected_control
+            u = P0Field(mesh, 0.5 * u.values + 0.5 * problem.projected_control)
             stall = 0
             continue
 
-        q = problem.product_mean / spec.nu
-        active_low = q < spec.alpha
-        active_high = q > spec.beta
-        inactive = ~(active_low | active_high)
-        delta = np.zeros_like(u_values)
-        delta[active_low] = spec.alpha - u_values[active_low]
-        delta[active_high] = spec.beta - u_values[active_high]
-
+        active = problem.active
+        delta = np.where(active, problem.projected_control - u.values, 0.0)
         rhs = -problem.gradient
-        if np.any(~inactive):
-            h_active = problem.hessian_apply_values(
-                np.where(inactive, 0.0, delta))
-            rhs -= h_active
+        if np.any(active):
+            rhs -= problem.hessian_apply_values(delta)
         # Inexact Newton: a relative residual of 0.1 tol / kkt suffices for
         # the stop (Dembo, Eisenstat & Steihaug, 1982); kkt > tol here.
-        step = _reduced_cg(problem, np.where(inactive, rhs, 0.0), inactive,
-                           areas, max(_CG_TOL, 0.1 * tol / kkt))
-        u_values = spec.clamp(u_values + delta + step)
+        step = _reduced_cg(problem, rhs, ~active, mesh.areas,
+                           max(_CG_TOL, 0.1 * tol / kkt))
+        u = P0Field(mesh, spec.clamp(u.values + delta + step))
 
     best.cost = cost(spec, mesh, best.control, state=best.state)
+    if best.converged:
+        return best
     raise NonconvergenceError(
         f"outer solver did not reach KKT tolerance {tol:.3e} in "
         f"{_OUTER_MAX_ITERATIONS} iterations "

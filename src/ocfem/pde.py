@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fem
-from .errors import AdmissibilityError, NonconvergenceError
+from .errors import AdmissibilityError, MeshError, NonconvergenceError
 from .fem import P0Field, P1Field
 from .linalg import FactorSlot, SparseSymOperator, norm
 from .mesh import Mesh
@@ -47,9 +47,9 @@ class ProblemSpec:
     state arguments arrays of shape (...); results broadcast to (...).
     The state's nonlinearity is a(x, y) = ``reaction(x, y) - source(x)``,
     with an x-only ``source``; the derivatives and the floor of a are those
-    of the reaction.  ``objective`` may be None for a vanishing tracking
-    term (pure Tikhonov cost).  ``beta`` may be ``math.inf`` for controls
-    unbounded above.
+    of the reaction.  The tracking term L(x, y) and its derivatives are
+    required; a vanishing one (pure Tikhonov cost) is given by zero
+    callables.  ``beta`` may be ``math.inf`` for controls unbounded above.
     """
 
     reaction: Callable              # r(x, y)
@@ -61,9 +61,9 @@ class ProblemSpec:
     nu: float
     alpha: float
     beta: float
-    objective: Optional[Callable] = None       # L(x, y)
-    objective_dy: Optional[Callable] = None
-    objective_dyy: Optional[Callable] = None
+    objective: Callable             # L(x, y)
+    objective_dy: Callable          # dL/dy(x, y)
+    objective_dyy: Callable         # d2L/dy2(x, y)
     diffusion: Optional[Callable] = None       # None: identity coefficients
     name: str = ""
 
@@ -110,7 +110,10 @@ class ProblemSpec:
                     "reaction floor is not a lower bound")
 
     def check_control(self, mesh: Mesh, u: P0Field) -> None:
-        """Check a0 + u >= 0 at the quadrature points, not identically 0."""
+        """Check that u lives on ``mesh`` and a0 + u >= 0 at the quadrature
+        points, not identically 0."""
+        if u.mesh is not mesh:
+            raise MeshError("the control lives on another mesh")
         a0 = fem.at_points(self.reaction_floor, fem.quadrature_points(mesh))
         total = a0 + u.values[:, None]
         if float(total.min()) < -1e-12:
@@ -159,6 +162,8 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     this call's own if it is None.
     """
     spec.check_control(mesh, u)
+    if init is not None and init.mesh is not mesh:
+        raise MeshError("the initial state lives on another mesh")
     stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     if slot is None:
         slot = FactorSlot()
@@ -216,8 +221,6 @@ def solve_adjoint(spec: ProblemSpec, operator: SparseSymOperator,
     """Discrete adjoint state at the state ``y``, with the linearized
     operator there."""
     mesh = y.mesh
-    if spec.objective_dy is None:
-        return P1Field.zeros(mesh)
     rhs = fem.assemble_volume_load(mesh, fem.at_points(
         spec.objective_dy, fem.quadrature_points(mesh), y.at_quadrature()))
     return P1Field(mesh, operator.solve_spd(rhs, tol=linear_tol))

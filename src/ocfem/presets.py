@@ -58,13 +58,16 @@ def _flagship() -> ProblemSpec:
 
 
 def _tikhonov_only() -> ProblemSpec:
-    """Flagship state equation with a vanishing tracking term.
+    """Flagship state equation with a zero tracking term.
 
     The unique optimal control is zero (pure Tikhonov cost).
     """
-    spec = _flagship()
-    return spec.with_overrides(objective=None, objective_dy=None,
-                               objective_dyy=None, name="tikhonov-only")
+    def zero(x, y):
+        return 0.0
+
+    return _flagship().with_overrides(
+        objective=zero, objective_dy=zero, objective_dyy=zero,
+        name="tikhonov-only")
 
 
 def _manufactured_constant() -> ProblemSpec:

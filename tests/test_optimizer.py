@@ -10,9 +10,10 @@ import weakref
 import numpy as np
 import pytest
 
-from ocfem import (NonconvergenceError, P0Field, P1Field,
+from ocfem import (MeshError, NonconvergenceError, P0Field, P1Field,
                    build_unit_square_mesh, get_preset, l2_diff_p0)
 from ocfem import fem, optimizer, pde
+from ocfem.linalg import SparseSymOperator
 
 # 12-point degree-6 symmetric triangle rule (independent re-evaluation).
 _D6_GROUPS = [
@@ -118,8 +119,11 @@ def test_hessian_zero_direction():
 
 def test_hessian_reduces_to_tikhonov_for_linear_problem():
     # linear reaction, no tracking: only the Tikhonov block survives
+    def zero(x, y):
+        return 0.0
+
     spec = get_preset("manufactured-constant").with_overrides(
-        objective=None, objective_dy=None, objective_dyy=None)
+        objective=zero, objective_dy=zero, objective_dyy=zero)
     mesh = build_unit_square_mesh(3)
     u = P0Field.zeros(mesh)
     rng = np.random.default_rng(29)
@@ -217,6 +221,65 @@ def test_kkt_residual_of_projection_is_zero():
         _projection(mesh, problem.state, problem.adjoint, spec))
     assert problem.kkt_residual == \
         pytest.approx(l2_diff_p0(u, P0Field.zeros(mesh)), rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+def test_active_set_is_where_the_projection_moves(monkeypatch, beta):
+    # mean(y phi) / nu lands exactly on alpha and beta on some elements and
+    # one ulp outside them on others: a tie is inactive, as in the
+    # comparison with the bounds.
+    spec = get_preset("paper-sec6").with_overrides(beta=beta)
+    mesh = build_unit_square_mesh(2)
+    rng = np.random.default_rng(43)
+    q = rng.uniform(-3.0, 3.0, mesh.num_triangles)
+    q[:4] = spec.alpha
+    q[4:8] = np.nextafter(spec.alpha, -math.inf)
+    q[8:12] = 1.0
+    q[12:16] = np.nextafter(1.0, math.inf)
+    product_mean = q * spec.nu
+    monkeypatch.setattr(fem, "elementwise_p1_product_mean",
+                        lambda *args: product_mean.copy())
+    problem = optimizer.Linearization(spec, mesh, P0Field.zeros(mesh))
+    q = product_mean / spec.nu
+    assert np.any(q == spec.alpha) and np.any(q == 1.0)
+    assert np.array_equal(problem.active, (q < spec.alpha) | (q > spec.beta))
+
+
+def test_tikhonov_adjoint_is_zero_without_a_factorization(monkeypatch):
+    spec = get_preset("tikhonov-only")
+    mesh = build_unit_square_mesh(2)
+    calls = []
+    for name in ("_factor", "_solve_with"):
+        method = getattr(SparseSymOperator, name)
+
+        def counting(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(SparseSymOperator, name, counting)
+    in_adjoint = []
+    solve_adjoint = pde.solve_adjoint
+
+    def recording(*args, **kwargs):
+        before = len(calls)
+        phi = solve_adjoint(*args, **kwargs)
+        in_adjoint.extend(calls[before:])
+        return phi
+    monkeypatch.setattr(pde, "solve_adjoint", recording)
+    u = P0Field(mesh, np.full(mesh.num_triangles, 0.3))
+    problem = optimizer.Linearization(spec, mesh, u)
+    assert "_factor" in calls           # the state solve factors
+    assert in_adjoint == []
+    assert np.array_equal(problem.adjoint.values,
+                          np.zeros(mesh.num_vertices))
+    assert not np.any(np.signbit(problem.adjoint.values))
+
+
+def test_solve_ocp_refuses_an_initial_control_on_another_mesh():
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(2)
+    twin = build_unit_square_mesh(2)
+    with pytest.raises(MeshError, match="initial control"):
+        optimizer.solve_ocp(spec, mesh, init=P0Field.zeros(twin))
 
 
 def test_kkt_residual_single_element_perturbation():

@@ -7,9 +7,10 @@ three levels finer than the finest tested level.
 import numpy as np
 import pytest
 
-from ocfem import (AdmissibilityError, NonconvergenceError, P0Field,
-                   P1Field, ProblemSpec, barycenters, build_unit_square_mesh,
-                   get_preset, l2_diff_p1, linf_diff_p1, prolong_p1, refine)
+from ocfem import (AdmissibilityError, MeshError, NonconvergenceError,
+                   P0Field, P1Field, ProblemSpec, barycenters,
+                   build_unit_square_mesh, get_preset, l2_diff_p1,
+                   linf_diff_p1, prolong_p1, refine)
 from ocfem import fem, optimizer, pde
 from ocfem.linalg import SparseSymOperator, norm
 
@@ -31,7 +32,8 @@ def linear_reaction_spec(shift):
         nonlinearity_dyy=zeros_like,
         reaction_floor=lambda x: np.ones(x.shape[:-1]),
         boundary_flux=lambda x: np.zeros(x.shape[:-1]),
-        nu=1.0, alpha=-0.5, beta=2.0)
+        nu=1.0, alpha=-0.5, beta=2.0, objective=zeros_like,
+        objective_dy=zeros_like, objective_dyy=zeros_like)
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])
@@ -229,6 +231,24 @@ def test_inadmissible_control_rejected():
     with pytest.raises(AdmissibilityError):
         pde.solve_state(spec, mesh,
                         P0Field(mesh, np.full(mesh.num_triangles, -3.0)))
+
+
+def test_control_on_another_mesh_is_refused():
+    # A coarser control used to fail in numpy broadcasting.
+    spec = get_preset("paper-sec6")
+    coarse = build_unit_square_mesh(3)
+    with pytest.raises(MeshError, match="control"):
+        pde.solve_state(spec, refine(coarse), P0Field.zeros(coarse))
+
+
+def test_initial_state_on_another_mesh_is_refused():
+    # Same size, another mesh object: it would be a silent Newton start.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    twin = build_unit_square_mesh(3)
+    with pytest.raises(MeshError, match="initial state"):
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh),
+                        init=P1Field.zeros(twin))
 
 
 @pytest.mark.parametrize("excess, refused", [(1e-9, True), (1e-13, False)])
