@@ -18,9 +18,8 @@ from .optimizer import Linearization, OcpSolution, cost, solve_ocp
 from .pde import (ProblemSpec, SolveReport, linearized_operator,
                   solve_adjoint, solve_eta, solve_linearized, solve_state)
 from .presets import PRESET_NAMES, get_preset
-from .study import (Classification, PostprocessedControl, StudyRecord,
-                    build_wh, classify_elements, eoc,
-                    postprocess_error_cross, run_study)
+from .study import (StudyRecord, eoc, mixed_elements,
+                    postprocess_error_cross, postprocessed_samples, run_study)
 
 __version__ = "0.1.0"
 

@@ -383,11 +383,13 @@ def _check_memory(level: int) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ``ValueError`` on a bad command line (``main`` prints it in
-    one ``error:`` line), and reads ``-5e-1`` as a value, not an option."""
+    one ``error:`` line), and reads ``-5e-1``, ``-inf`` and ``-nan`` as
+    values, not options."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|inf$|infinity$|nan$)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

@@ -235,6 +235,9 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
             # Every earlier iterate had a residual above tol, so ``best`` is
             # this iterate.
             break
+        if it == _OUTER_MAX_ITERATIONS:
+            # No iteration is left to price a further step.
+            break
 
         stall = stall + 1 if kkt >= last_kkt else 0
         last_kkt = kkt

@@ -3,20 +3,18 @@
 A study solves the discrete control problem on every level of a dyadic
 mesh family (with coarse-to-fine continuation), measures consecutive-level
 L2 differences through exact nested prolongation, and records experimental
-orders of convergence together with the free-boundary diagnostics
-(mixed-element classification and the barycenter-sampled comparison field).
-Each level's control, state and adjoint are prolonged once, to the next
-level; those fields start its continuation and are the coarse side of every
-consecutive-level error.
+orders of convergence together with the free-boundary diagnostic, the
+measure of the mixed elements T1.  Each level's control, state and adjoint
+are prolonged once, to the next level; those fields start its continuation
+and are the coarse side of every consecutive-level error.
 
 Nothing here locates a point: the coarse post-processed control reaches the
 fine quadrature points through exact P1 prolongation, and a finer one is
 sampled at a coarse level's vertices and barycenters by index
-(``PostprocessedControl.samples_on``).  Classification and the comparison
-field read those samples; ``Classification.sample`` is the sample column
-each element is compared at.  Both rely on the layout ``mesh.refine`` fixes:
-a parent vertex keeps its index, and child 3 of every triangle is the middle
-child, with its parent's barycenter.
+(``postprocessed_samples``).  ``mixed_elements`` reads those samples.  Both
+rely on the layout ``mesh.refine`` fixes: a parent vertex keeps its index,
+and child 3 of every triangle is the middle child, with its parent's
+barycenter.
 """
 from __future__ import annotations
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import fem, optimizer, pde
 from .errors import LinearSolverError, NonconvergenceError, OcfemError
-from .fem import P0Field, P1Field
+from .fem import P1Field
 from .mesh import Mesh, build_unit_square_mesh, check_level, refine
 
 
@@ -58,116 +56,71 @@ def eoc(e_prev: float, e_cur: float) -> Optional[float]:
     return None
 
 
-class PostprocessedControl:
-    """Pointwise projected control ``clamp(y(x) phi(x) / nu)``, with the
-    box and nu of ``spec``, on the mesh of ``state``."""
+def postprocessed_samples(spec: pde.ProblemSpec, state: P1Field,
+                          adjoint: P1Field, mesh: Mesh) -> np.ndarray:
+    """Post-processed control ``clamp(y phi / nu)`` of ``state`` and
+    ``adjoint``, with the box and nu of ``spec``, at the three vertices and
+    the barycenter of every triangle of ``mesh``: (nt, 4).  ``mesh`` is the
+    fields' mesh or an ancestor of it.
 
-    def __init__(self, spec: pde.ProblemSpec, state: P1Field,
-                 adjoint: P1Field):
-        self.spec = spec
-        self.mesh = state.mesh
-        self.state = state
-        self.adjoint = adjoint
-
-    def _from_values(self, y, phi) -> np.ndarray:
-        """``clamp(y phi / nu)`` of state and adjoint values."""
-        return self.spec.clamp(y * phi / self.spec.nu)
-
-    def samples_on(self, mesh: Mesh) -> np.ndarray:
-        """Values at the three vertices and the barycenter of every
-        triangle of ``mesh``, an ancestor of this control's mesh: (nt, 4).
-
-        Exact index maps of the nested hierarchy, no point location:
-        ``refine`` keeps a vertex's index, and coarse triangle ``t`` has the
-        barycenter of its middle descendant ``4**k * t + 4**k - 1`` k levels
-        down, where a P1 value is the mean of the three nodal values.
-        """
-        k, node = 0, self.mesh
-        while node is not mesh:
-            if node.parent is None:
-                raise OcfemError("samples need an ancestor of the "
-                                 "control's mesh")
-            k, node = k + 1, node.parent
-        y, phi = self.state.values, self.adjoint.values
-        stride = 4 ** k
-        middle = self.mesh.triangles[
-            stride * np.arange(mesh.num_triangles, dtype=np.int64)
-            + stride - 1]
-        at_vertices = self._from_values(y[mesh.triangles],
-                                        phi[mesh.triangles])
-        at_centers = self._from_values(y[middle].mean(axis=1),
-                                       phi[middle].mean(axis=1))
-        return np.column_stack([at_vertices, at_centers])
-
-
-def postprocess_error_cross(state: P1Field, adjoint: P1Field,
-                            fine: PostprocessedControl) -> float:
-    """L2 distance of post-processed controls across one refinement level.
-
-    ``state`` and ``adjoint`` are the coarser level's fields prolonged to
-    ``fine.mesh``; nested P1 prolongation is exact, so they are the coarse
-    fields at the fine quadrature points.  Both sides are clamped with
-    ``fine``'s box and nu.  Integrated with the standard
-    volume rule on the finer mesh; the clamp kinks are not split (their set
-    has vanishing measure under the free-boundary assumption, keeping the
-    quadrature error below the measured second-order signal).
+    Exact index maps of the nested hierarchy, no point location:
+    ``refine`` keeps a vertex's index, and coarse triangle ``t`` has the
+    barycenter of its middle descendant ``4**k * t + 4**k - 1`` k levels
+    down, where a P1 value is the mean of the three nodal values.
     """
-    mesh = fine.mesh
-    if state.mesh is not mesh or adjoint.mesh is not mesh:
-        raise OcfemError("coarse fields are not prolonged to the fine mesh")
-    fine_vals = fine._from_values(fine.state.at_quadrature(),
-                                  fine.adjoint.at_quadrature())
-    coarse_vals = fine._from_values(state.at_quadrature(),
-                                    adjoint.at_quadrature())
-    return math.sqrt(fem.integrate(mesh, (fine_vals - coarse_vals) ** 2))
+    k, node = 0, state.mesh
+    while node is not mesh:
+        if node.parent is None:
+            raise OcfemError("samples need an ancestor of the fields' mesh")
+        k, node = k + 1, node.parent
+    y, phi = state.values, adjoint.values
+    stride = 4 ** k
+    middle = state.mesh.triangles[
+        stride * np.arange(mesh.num_triangles, dtype=np.int64) + stride - 1]
+    products = np.column_stack([
+        y[mesh.triangles] * phi[mesh.triangles],
+        y[middle].mean(axis=1) * phi[middle].mean(axis=1)])
+    return spec.clamp(products / spec.nu)
 
 
-@dataclass
-class Classification:
-    """Element split by mixed active/inactive control samples.
-
-    ``sample`` holds the comparison column of every element in
-    ``PostprocessedControl.samples_on``: 3, the barycenter, for pure
-    elements, the first active sample for mixed ones.
+def mixed_elements(spec: pde.ProblemSpec, state: P1Field, adjoint: P1Field,
+                   mesh: Mesh) -> np.ndarray:
+    """Mask (nt,) of the mixed elements T1 of ``mesh``: those with both
+    active and inactive ``postprocessed_samples``.  A sample is active
+    within ``1e-6 (beta - alpha)`` of a bound of ``spec``, or
+    ``1e-6 max(1, |alpha|)`` if beta is infinite.
     """
-
-    t1: np.ndarray            # indices of mixed elements
-    t2: np.ndarray            # indices of the rest
-    measure_t1: float
-    sample: np.ndarray        # (nt,)
-
-
-def classify_elements(mesh: Mesh,
-                      control: PostprocessedControl) -> Classification:
-    """Split elements into mixed (active and inactive samples) and pure.
-
-    Samples each element at its vertices and barycenter by index
-    (``control.samples_on``), so ``control`` lives on ``mesh`` or a
-    refinement of it.  A sample is active within ``1e-6 (beta - alpha)`` of
-    a bound of ``control.spec``, or ``1e-6 max(1, |alpha|)`` if beta is
-    infinite.
-    """
-    alpha, beta = control.spec.alpha, control.spec.beta
+    alpha, beta = spec.alpha, spec.beta
     if math.isfinite(beta):
         tol = 1e-6 * (beta - alpha)
     else:
         tol = 1e-6 * max(1.0, abs(alpha))
-    vals = control.samples_on(mesh)
+    vals = postprocessed_samples(spec, state, adjoint, mesh)
     active = (np.abs(vals - alpha) <= tol) | (np.abs(vals - beta) <= tol)
-    mixed = active.any(axis=1) & (~active).any(axis=1)
-    t1 = np.flatnonzero(mixed)
-    t2 = np.flatnonzero(~mixed)
-    return Classification(t1=t1, t2=t2,
-                          measure_t1=float(mesh.areas[t1].sum()),
-                          sample=np.where(mixed, np.argmax(active, axis=1), 3))
+    return active.any(axis=1) & (~active).any(axis=1)
 
 
-def build_wh(mesh: Mesh, control: PostprocessedControl,
-             classification: Classification) -> P0Field:
-    """Comparison field: control sampled at the classification's columns."""
-    vals = np.take_along_axis(control.samples_on(mesh),
-                              classification.sample[:, None], axis=1)
-    return P0Field(mesh, vals[:, 0])
+def postprocess_error_cross(spec: pde.ProblemSpec, coarse, fine) -> float:
+    """L2 distance of post-processed controls across one refinement level.
+
+    ``coarse`` and ``fine`` are (state, adjoint) pairs on one mesh:
+    ``coarse`` is the coarser level's pair prolonged to it, and nested P1
+    prolongation is exact, so they are the coarse fields at the fine
+    quadrature points.  Both sides are clamped with ``spec``'s box and nu.
+    Integrated with the standard volume rule on the finer mesh; the clamp
+    kinks are not split (their set has vanishing measure under the
+    free-boundary assumption, keeping the quadrature error below the
+    measured second-order signal).
+    """
+    mesh = fine[0].mesh
+    if any(field.mesh is not mesh for field in (*coarse, *fine)):
+        raise OcfemError("coarse fields are not prolonged to the fine mesh")
+    (y_c, phi_c), (y_f, phi_f) = coarse, fine
+    fine_vals = spec.clamp(y_f.at_quadrature() * phi_f.at_quadrature()
+                           / spec.nu)
+    coarse_vals = spec.clamp(y_c.at_quadrature() * phi_c.at_quadrature()
+                             / spec.nu)
+    return math.sqrt(fem.integrate(mesh, (fine_vals - coarse_vals) ** 2))
 
 
 def continuation(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
@@ -226,16 +179,15 @@ def _build_records(spec, pairs):
     rows: List[StudyRecord] = []
     if len(pairs) > 1:
         last = pairs[-1][0]
-        reference = PostprocessedControl(spec, last.state, last.adjoint)
     for (coarse, _), (fine, prolonged) in zip(pairs, pairs[1:]):
         control, state, adjoint = prolonged
         mesh = coarse.control.mesh
         e_u = fem.l2_diff_p0(control, fine.control)
         e_y = fem.l2_diff_p1(state, fine.state)
         e_phi = fem.l2_diff_p1(adjoint, fine.adjoint)
-        pp_fine = PostprocessedControl(spec, fine.state, fine.adjoint)
-        e_upost = postprocess_error_cross(state, adjoint, pp_fine)
-        measure = classify_elements(mesh, reference).measure_t1
+        e_upost = postprocess_error_cross(spec, (state, adjoint),
+                                          (fine.state, fine.adjoint))
+        mixed = mixed_elements(spec, last.state, last.adjoint, mesh)
         prev = rows[-1] if rows else None
         rows.append(StudyRecord(
             level=mesh.level, h=mesh.h,
@@ -246,5 +198,5 @@ def _build_records(spec, pairs):
             eoc_upost=eoc(prev.e_upost, e_upost) if prev else None,
             kkt_residual=coarse.kkt_residual,
             outer_iterations=coarse.outer_iterations,
-            measure_t1=measure))
+            measure_t1=float(mesh.areas[mixed].sum())))
     return rows

@@ -323,7 +323,8 @@ def test_unwritable_out_exit_2(command, out, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["solve", "--wibble"], [], ["solve", "--level"],
-], ids=["unknown-flag", "no-command", "flag-without-value"])
+    ["solve", "--alpha", "-x", "--level", "2"],
+], ids=["unknown-flag", "no-command", "flag-without-value", "dash-word"])
 def test_bad_command_line_exit_2_with_one_error_line(args, capsys):
     assert run_cli(args) == 2
     captured = capsys.readouterr()
@@ -339,6 +340,24 @@ def test_negative_exponent_value_is_not_an_option(capsys, monkeypatch):
                         lambda cfg, spec: seen.append(cfg) or 0)
     assert run_cli(["solve", "--alpha", "-5e-1", "--level", "2"]) == 0
     assert seen[0].alpha == -0.5
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    ("--alpha", "-inf", 1), ("--alpha", "-INF", 1),
+    ("--alpha", "-Infinity", 1), ("--beta", "-nan", 2),
+    ("--nu", "-nan", 2), ("--nu", "-NaN", 2),
+])
+def test_negative_inf_and_nan_are_values(flag, value, code, capsys):
+    # The spaced form reaches the same check as the ``=`` form, not
+    # argparse's "expected one argument".
+    lines = []
+    for args in ([flag, value], [f"{flag}={value}"]):
+        assert run_cli(["solve", *args, "--level", "2"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        lines.append(err[0])
+    assert lines[0] == lines[1]
+    assert "expected one argument" not in lines[0]
 
 
 @pytest.mark.parametrize("value, expected", [

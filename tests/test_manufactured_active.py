@@ -87,7 +87,7 @@ def l2_error(mesh, approx, exact):
 
 def mixed_measure(mesh):
     """|T1| of the exact control: elements whose vertex and barycenter
-    samples are partly active, under ``classify_elements``' rule."""
+    samples are partly active, under ``mixed_elements``' rule."""
     samples = np.column_stack([u_bar(mesh.vertices[mesh.triangles]),
                                u_bar(barycenters(mesh))])
     tol = 1e-6 * (BETA - ALPHA)

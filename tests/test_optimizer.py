@@ -371,6 +371,32 @@ def test_solve_ocp_budget_error_carries_best(monkeypatch):
     assert best.kkt_residual > 1e-9
 
 
+def test_solve_ocp_computes_no_step_past_its_budget(monkeypatch):
+    # With a budget of one iteration the first iterate is the only one
+    # priced, so no Newton step (and no Hessian product) is computed.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(5)
+    start = optimizer.Linearization(spec, mesh,
+                                    P0Field(mesh, spec.clamp(
+                                        np.zeros(mesh.num_triangles))))
+    products = []
+    real = optimizer.Linearization.hessian_apply_values
+
+    def counting(self, *args, **kwargs):
+        products.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer.Linearization, "hessian_apply_values",
+                        counting)
+    monkeypatch.setattr(optimizer, "_OUTER_MAX_ITERATIONS", 1)
+    with pytest.raises(NonconvergenceError) as err:
+        optimizer.solve_ocp(spec, mesh)
+    best = err.value.report
+    assert products == []
+    assert best.outer_iterations == 1
+    assert best.kkt_residual == start.kkt_residual
+
+
 def test_solve_ocp_is_deterministic():
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(2)

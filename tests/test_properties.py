@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocfem import (Linearization, Mesh, P0Field, P1Field,
-                   PostprocessedControl, TRIANGLE_RULE, assemble_stiffness,
-                   assemble_weighted_mass, barycenters, fem,
-                   build_unit_square_mesh, cost, get_preset, l2_diff_p0,
+from ocfem import (Linearization, Mesh, P0Field, P1Field, TRIANGLE_RULE,
+                   assemble_stiffness, assemble_weighted_mass, barycenters,
+                   fem, build_unit_square_mesh, cost, get_preset, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
-                   prolong_p0, prolong_p1, refine)
+                   postprocessed_samples, prolong_p0, prolong_p1, refine)
 from ocfem.mesh import barycentric_coordinates, locate
 
 EPS = np.finfo(float).eps
@@ -44,7 +43,6 @@ def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
     phi = rng.uniform(-1.0, 1.0, fine.num_vertices)
     spec = get_preset("paper-sec6").with_overrides(
         alpha=alpha, beta=alpha + width, nu=nu)
-    pp = PostprocessedControl(spec, P1Field(fine, y), P1Field(fine, phi))
     points = np.concatenate([coarse.vertices[coarse.triangles],
                              barycenters(coarse)[:, None, :]],
                             axis=1).reshape(-1, 2)
@@ -54,7 +52,8 @@ def test_samples_on_match_located_values(hierarchy, level, k, seed, alpha,
     located = spec.clamp(np.sum(y[nodes] * lam, axis=-1)
                          * np.sum(phi[nodes] * lam, axis=-1)
                          / nu).reshape(-1, 4)
-    samples = pp.samples_on(coarse)
+    samples = postprocessed_samples(spec, P1Field(fine, y),
+                                    P1Field(fine, phi), coarse)
     assert np.array_equal(samples[:, :3], located[:, :3])
     # Barycentric coordinates at a barycenter carry round-off of order
     # eps / h, relative to the size of the unclamped product.

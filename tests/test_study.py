@@ -6,9 +6,9 @@ import pytest
 
 from ocfem import (CoercivityError, MeshSizeError,
                    NonconvergenceError, OcfemError, P1Field, barycenters,
-                   build_unit_square_mesh, build_wh, classify_elements, eoc,
-                   get_preset, PostprocessedControl, postprocess_error_cross,
-                   refine, run_study)
+                   build_unit_square_mesh, eoc, get_preset, mixed_elements,
+                   postprocess_error_cross, postprocessed_samples, refine,
+                   run_study)
 from ocfem import fem, optimizer, study
 from ocfem.cli import format_csv_rows
 from ocfem.linalg import SparseSymOperator
@@ -22,13 +22,18 @@ def box(alpha, beta, nu=0.5):
 
 
 def affine_control(mesh, spec, c0, c1=0.0, c2=0.0):
-    """Post-processed control on ``mesh`` with nodal y = 1 and
-    phi = nu (c0 + c1 x1 + c2 x2): y phi / nu is affine, so its vertex and
-    barycenter samples are ``c0 + c1 x1 + c2 x2`` there, clamped."""
+    """(state, adjoint) on ``mesh`` with nodal y = 1 and
+    phi = nu (c0 + c1 x1 + c2 x2): y phi / nu is affine, so the vertex and
+    barycenter samples of its post-processed control are
+    ``c0 + c1 x1 + c2 x2`` there, clamped."""
     x = mesh.vertices
     phi = spec.nu * (c0 + c1 * x[:, 0] + c2 * x[:, 1])
-    return PostprocessedControl(spec, P1Field(mesh, np.ones(len(x))),
-                                P1Field(mesh, phi))
+    return P1Field(mesh, np.ones(len(x))), P1Field(mesh, phi)
+
+
+def mixed(mesh, spec, fields):
+    """Indices of the mixed elements of ``mesh`` under ``fields``."""
+    return np.flatnonzero(mixed_elements(spec, *fields, mesh))
 
 
 def test_eoc_values():
@@ -41,10 +46,10 @@ def test_eoc_values():
 
 def test_postprocess_zero_state():
     mesh = build_unit_square_mesh(2)
-    pp = PostprocessedControl(box(-1.0, 1.0, 0.05), P1Field.zeros(mesh),
-                              P1Field(mesh, np.ones(mesh.num_vertices)))
-    assert np.array_equal(pp.samples_on(mesh),
-                          np.zeros((mesh.num_triangles, 4)))
+    samples = postprocessed_samples(
+        box(-1.0, 1.0, 0.05), P1Field.zeros(mesh),
+        P1Field(mesh, np.ones(mesh.num_vertices)), mesh)
+    assert np.array_equal(samples, np.zeros((mesh.num_triangles, 4)))
 
 
 def test_postprocess_clamps():
@@ -52,59 +57,51 @@ def test_postprocess_clamps():
     nu = 0.05
     y = P1Field(mesh, np.ones(mesh.num_vertices))
     phi = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
-    pp = PostprocessedControl(box(-1.0, 1.0, nu), y, phi)
-    assert np.all(pp.samples_on(mesh) == 1.0)
+    assert np.all(postprocessed_samples(box(-1.0, 1.0, nu), y, phi,
+                                        mesh) == 1.0)
 
 
 def test_postprocess_cross_error_on_constants():
     mesh = build_unit_square_mesh(2)
     child = refine(mesh)
     spec = box(-10.0, 10.0, 1.0)
-    pp_coarse = PostprocessedControl(
-        spec, P1Field(mesh, np.ones(mesh.num_vertices)),
-        P1Field(mesh, np.full(mesh.num_vertices, 0.25)))
-    pp_fine = PostprocessedControl(
-        spec, P1Field(child, np.ones(child.num_vertices)),
-        P1Field(child, np.full(child.num_vertices, 0.75)))
-    assert postprocess_error_cross(fem.prolong_p1(child, pp_coarse.state),
-                                   fem.prolong_p1(child, pp_coarse.adjoint),
-                                   pp_fine) == pytest.approx(0.5, abs=1e-13)
+    coarse = (P1Field(mesh, np.ones(mesh.num_vertices)),
+              P1Field(mesh, np.full(mesh.num_vertices, 0.25)))
+    fine = (P1Field(child, np.ones(child.num_vertices)),
+            P1Field(child, np.full(child.num_vertices, 0.75)))
+    prolonged = tuple(fem.prolong_p1(child, field) for field in coarse)
+    assert postprocess_error_cross(spec, prolonged, fine) == \
+        pytest.approx(0.5, abs=1e-13)
 
 
-@pytest.mark.parametrize("prolonged", ["state", "adjoint"])
-def test_postprocess_cross_refuses_fields_off_the_fine_mesh(prolonged):
+@pytest.mark.parametrize("off", [0, 1, 2, 3], ids=[
+    "state", "adjoint", "fine-state", "fine-adjoint"])
+def test_postprocess_cross_refuses_fields_off_the_fine_mesh(off):
+    # One of the four fields lives on the coarse mesh, the rest on its child.
     mesh = build_unit_square_mesh(1)
     child = refine(mesh)
     spec = box(-1.0, 1.0)
-    coarse = affine_control(mesh, spec, 0.25)
-    fields = {"state": coarse.state, "adjoint": coarse.adjoint}
-    fields[prolonged] = fem.prolong_p1(child, fields[prolonged])
+    fields = [*affine_control(child, spec, 0.25)] * 2
+    fields[off] = affine_control(mesh, spec, 0.25)[off % 2]
     with pytest.raises(OcfemError, match="not prolonged"):
-        postprocess_error_cross(fields["state"], fields["adjoint"],
-                                affine_control(child, spec, 0.25))
+        postprocess_error_cross(spec, fields[:2], fields[2:])
 
 
 def test_classify_all_active_and_all_inactive():
     mesh = build_unit_square_mesh(3)
     spec = box(-1.0, 1.0)
-    at_bound = classify_elements(mesh, affine_control(mesh, spec, -1.0))
-    assert len(at_bound.t1) == 0
-    assert at_bound.measure_t1 == 0.0
-    interior = classify_elements(mesh, affine_control(mesh, spec, 0.0))
-    assert len(interior.t1) == 0
-    assert len(interior.t2) == mesh.num_triangles
+    assert len(mixed(mesh, spec, affine_control(mesh, spec, -1.0))) == 0
+    assert len(mixed(mesh, spec, affine_control(mesh, spec, 0.0))) == 0
 
 
 def test_classify_mixed_band():
     mesh = build_unit_square_mesh(4)
-    control = affine_control(mesh, box(-1.0, 1.0), 0.2, 2.0)
-    result = classify_elements(mesh, control)
+    spec = box(-1.0, 1.0)
+    t1 = mixed(mesh, spec, affine_control(mesh, spec, 0.2, 2.0))
     # the control saturates at the upper bound for x1 >= 0.4; mixed
     # elements straddle that clamp line
-    assert len(result.t1) > 0
-    assert result.measure_t1 == pytest.approx(
-        float(mesh.areas[result.t1].sum()))
-    centers = barycenters(mesh)[result.t1]
+    assert len(t1) > 0
+    centers = barycenters(mesh)[t1]
     assert np.all(np.abs(centers[:, 0] - 0.4) <= mesh.h)
 
 
@@ -113,11 +110,11 @@ def test_classify_tolerance_default_with_infinite_upper_bound():
     # of alpha = -2, so here where x1 <= 0.45: the mixed elements are the
     # column 0.25 < x1 < 0.5 (1e-6 would move it to x1 < 0.25).
     mesh = build_unit_square_mesh(2)
-    result = classify_elements(mesh, affine_control(
-        mesh, box(-2.0, np.inf), -2.0, 2e-6 / 0.45))
-    centers = barycenters(mesh)[result.t1]
+    spec = box(-2.0, np.inf)
+    t1 = mixed(mesh, spec, affine_control(mesh, spec, -2.0, 2e-6 / 0.45))
+    centers = barycenters(mesh)[t1]
     assert np.all((centers[:, 0] > 0.25) & (centers[:, 0] < 0.5))
-    assert result.measure_t1 == pytest.approx(0.25)
+    assert mesh.areas[t1].sum() == pytest.approx(0.25)
 
 
 def test_classify_tolerance_default_with_finite_bounds():
@@ -130,42 +127,11 @@ def test_classify_tolerance_default_with_finite_bounds():
     alpha, width = -2.0, 4.0
     slope = 4.0 * (1e-5 - 1e-7) * width
     offset = alpha + 1e-7 * width - 0.25 * slope
-    result = classify_elements(mesh, affine_control(
-        mesh, box(alpha, alpha + width), offset, slope))
-    centers = barycenters(mesh)[result.t1]
+    spec = box(alpha, alpha + width)
+    t1 = mixed(mesh, spec, affine_control(mesh, spec, offset, slope))
+    centers = barycenters(mesh)[t1]
     assert np.all((centers[:, 0] > 0.25) & (centers[:, 0] < 0.5))
-    assert result.measure_t1 == pytest.approx(0.25)
-
-
-def test_build_wh_affine_all_pure():
-    mesh = build_unit_square_mesh(3)
-    control = affine_control(mesh, box(-10.0, 10.0), 0.25, 0.5, -0.125)
-    classification = classify_elements(mesh, control)
-    assert len(classification.t1) == 0
-    assert np.all(classification.sample == 3)
-    field = build_wh(mesh, control, classification)
-    centers = barycenters(mesh)
-    assert field.values == pytest.approx(
-        0.25 + 0.5 * centers[:, 0] - 0.125 * centers[:, 1], abs=1e-14)
-
-
-def test_build_wh_constant_control():
-    mesh = build_unit_square_mesh(3)
-    spec = box(-1.0, 1.0)
-    mixed = affine_control(mesh, spec, 0.2, 2.0)   # nonempty mixed set
-    classification = classify_elements(mesh, mixed)
-    assert len(classification.t1) > 0
-    field = build_wh(mesh, affine_control(mesh, spec, 0.3), classification)
-    assert field.values == pytest.approx(0.3, abs=0.0)
-
-
-def test_build_wh_uses_active_sample_on_mixed_elements():
-    mesh = build_unit_square_mesh(4)
-    control = affine_control(mesh, box(-1.0, 1.0), 0.2, 2.0)
-    classification = classify_elements(mesh, control)
-    assert np.all(classification.sample[classification.t1] < 3)
-    field = build_wh(mesh, control, classification)
-    assert np.all(np.abs(field.values[classification.t1] - 1.0) <= 1e-12)
+    assert mesh.areas[t1].sum() == pytest.approx(0.25)
 
 
 def test_comparison_field_second_order_on_pure_elements():
@@ -177,16 +143,14 @@ def test_comparison_field_second_order_on_pure_elements():
     for _ in range(2):
         meshes.append(refine(meshes[-1]))
     solutions = [optimizer.solve_ocp(spec, mesh) for mesh in meshes]
-    ref = PostprocessedControl(spec, solutions[-1].state,
-                               solutions[-1].adjoint)
+    ref = solutions[-1].state, solutions[-1].adjoint
     gaps = []
     for i in (0, 1):
         mesh = meshes[i]
-        classification = classify_elements(mesh, ref)
-        wh = build_wh(mesh, ref, classification)
-        diff = (solutions[i].control.values - wh.values)[classification.t2]
-        gaps.append(float(np.sqrt(np.sum(
-            mesh.areas[classification.t2] * diff ** 2))))
+        t2 = ~mixed_elements(spec, *ref, mesh)
+        wh = postprocessed_samples(spec, *ref, mesh)[:, 3]
+        diff = (solutions[i].control.values - wh)[t2]
+        gaps.append(float(np.sqrt(np.sum(mesh.areas[t2] * diff ** 2))))
     assert gaps[1] / gaps[0] <= 0.4
 
 
@@ -327,10 +291,9 @@ def test_samples_on_match_located_values(hierarchy, level, k):
     meshes = hierarchy
     coarse, fine = meshes[level], meshes[level + k]
     rng = np.random.default_rng(100 * level + k)
-    pp = PostprocessedControl(
-        box(-0.6, 0.6, 0.8),
-        P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)),
-        P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices)))
+    spec = box(-0.6, 0.6, 0.8)
+    state = P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices))
+    adjoint = P1Field(fine, rng.uniform(-1.0, 1.0, fine.num_vertices))
     # Oracle: locate each vertex and barycenter of ``coarse`` in ``fine``
     # and interpolate there by its barycentric coordinates.
     points = np.concatenate([coarse.vertices[coarse.triangles],
@@ -342,9 +305,9 @@ def test_samples_on_match_located_values(hierarchy, level, k):
     def located_at(field):
         return np.sum(field.values[fine.triangles[tri]] * lam, axis=-1)
 
-    located = pp.spec.clamp(located_at(pp.state) * located_at(pp.adjoint)
-                            / pp.spec.nu).reshape(-1, 4)
-    samples = pp.samples_on(coarse)
+    located = spec.clamp(located_at(state) * located_at(adjoint)
+                         / spec.nu).reshape(-1, 4)
+    samples = postprocessed_samples(spec, state, adjoint, coarse)
     assert samples.shape == (coarse.num_triangles, 4)
     assert np.any(np.abs(located) == 0.6)              # the clamp is hit
     # A vertex's barycentric coordinates are exact; at a barycenter the
@@ -359,13 +322,11 @@ def test_samples_on_match_located_values(hierarchy, level, k):
 def test_samples_on_rejects_a_mesh_that_is_not_an_ancestor(hierarchy):
     meshes = hierarchy
     mesh = meshes[3]
-    values = np.zeros(mesh.num_vertices)
-    pp = PostprocessedControl(box(-1.0, 1.0, 1.0), P1Field(mesh, values),
-                              P1Field(mesh, values))
+    field = P1Field(mesh, np.zeros(mesh.num_vertices))
     for other in (build_unit_square_mesh(2), build_unit_square_mesh(3),
                   meshes[4]):
         with pytest.raises(OcfemError):
-            pp.samples_on(other)
+            postprocessed_samples(box(-1.0, 1.0, 1.0), field, field, other)
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])
@@ -375,12 +336,11 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
     rng = np.random.default_rng(7 + level)
     spec = box(-0.5, 0.5, 0.7)
 
-    def random_control(mesh):
-        return PostprocessedControl(
-            spec, P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)),
-            P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices)))
+    def random_fields(mesh):
+        return tuple(P1Field(mesh, rng.uniform(-1.0, 1.0, mesh.num_vertices))
+                     for _ in range(2))
 
-    pp_coarse, pp_fine = random_control(coarse), random_control(fine)
+    pp_coarse, pp_fine = random_fields(coarse), random_fields(fine)
     # Reference: evaluate the coarse fields in the parent triangle of each
     # fine quadrature point by its barycentric coordinates.
     pts = fem.quadrature_points(fine)
@@ -391,15 +351,14 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
     def coarse_at(field):
         return np.sum(field.values[coarse.triangles[parents]] * lam, axis=-1)
 
-    coarse_vals = spec.clamp(coarse_at(pp_coarse.state) *
-                             coarse_at(pp_coarse.adjoint) / spec.nu)
-    fine_vals = spec.clamp(pp_fine.state.at_quadrature() *
-                           pp_fine.adjoint.at_quadrature() / spec.nu)
+    coarse_vals = spec.clamp(coarse_at(pp_coarse[0]) *
+                             coarse_at(pp_coarse[1]) / spec.nu)
+    fine_vals = spec.clamp(pp_fine[0].at_quadrature() *
+                           pp_fine[1].at_quadrature() / spec.nu)
     d2 = (fine_vals - coarse_vals) ** 2
     expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
-    assert postprocess_error_cross(fem.prolong_p1(fine, pp_coarse.state),
-                                   fem.prolong_p1(fine, pp_coarse.adjoint),
-                                   pp_fine) == \
+    prolonged = tuple(fem.prolong_p1(fine, field) for field in pp_coarse)
+    assert postprocess_error_cross(spec, prolonged, pp_fine) == \
         pytest.approx(expected, rel=1e-13)
 
 
