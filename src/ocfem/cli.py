@@ -3,7 +3,9 @@
 Configuration is a preset name plus scalar overrides, given as flags or as
 a flat ``key=value`` text file (flags win).  The study command emits the
 convergence table as CSV with LF line endings; two runs with identical
-configuration produce byte-identical output.
+configuration produce byte-identical output.  ``solve --out DIR`` writes
+``summary.txt`` and, with ``--emit-fields``, the mesh and its three fields
+as plain text (formats in README).  No other module of the package does I/O.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ import re
 import resource
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, inf
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +105,8 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(**{key: _PARSERS[key](val) for key, val in values.items()})
     if cfg.level < 0:
         raise ValueError(f"level must be >= 0, got {cfg.level}")
+    if args.command == "solve" and cfg.emit_fields and cfg.out is None:
+        raise ValueError("--emit-fields needs --out")
     return cfg
 
 
@@ -124,8 +129,8 @@ def format_csv_rows(records: List[study.StudyRecord]) -> List[str]:
     return rows
 
 
-def _write_lines(lines: List[str], stream) -> None:
-    stream.write("\n".join(lines) + "\n")
+def _write_lines(lines: Iterable[str], stream) -> None:
+    stream.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
@@ -147,20 +152,21 @@ def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
         f"state_newton_iterations={solution.state_report.iterations}",
         f"state_residual={solution.state_report.residual!r}",
     ]
-    if out_dir:
-        with open(out_dir / "summary.txt", "w", newline="\n") as handle:
-            _write_lines(summary, handle)
-        if cfg.emit_fields:
-            with open(out_dir / "mesh.txt", "w", newline="\n") as handle:
-                mesh.write_text(handle)
-            for name, field in (("control", solution.control),
-                                ("state", solution.state),
-                                ("adjoint", solution.adjoint)):
-                with open(out_dir / f"{name}.txt", "w",
-                          newline="\n") as handle:
-                    field.write_text(handle)
-    for line in summary:
-        print(line)
+    files = [("summary", summary)] if out_dir else []
+    if out_dir and cfg.emit_fields:
+        files.append(("mesh", chain(
+            [f"{mesh.num_vertices} {mesh.num_triangles}"],
+            (f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices),
+            (f"{a} {b} {c}" for a, b, c in mesh.triangles))))
+        for name, tag, field in (("control", "p0", solution.control),
+                                 ("state", "p1", solution.state),
+                                 ("adjoint", "p1", solution.adjoint)):
+            files.append((name, chain([f"{tag} {len(field.values)}"],
+                                      (repr(float(v)) for v in field.values))))
+    for name, lines in files:
+        with open(out_dir / f"{name}.txt", "w", newline="\n") as handle:
+            _write_lines(lines, handle)
+    _write_lines(summary, sys.stdout)
     return 0
 
 

@@ -84,11 +84,6 @@ class P1Field:
         """Values at all quadrature points, shape (nt, nq)."""
         return self.values[self.mesh.triangles] @ TRIANGLE_RULE.points.T
 
-    def write_text(self, stream) -> None:
-        stream.write(f"p1 {len(self.values)}\n")
-        for v in self.values:
-            stream.write(f"{float(v)!r}\n")
-
 
 class P0Field:
     """Elementwise-constant field given by one value per triangle."""
@@ -102,11 +97,6 @@ class P0Field:
     @classmethod
     def zeros(cls, mesh: Mesh) -> "P0Field":
         return cls(mesh, np.zeros(mesh.num_triangles))
-
-    def write_text(self, stream) -> None:
-        stream.write(f"p0 {len(self.values)}\n")
-        for v in self.values:
-            stream.write(f"{float(v)!r}\n")
 
 
 # Read-only arrays derived from a mesh (and a diffusion), computed on first

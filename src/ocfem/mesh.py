@@ -117,17 +117,6 @@ class Mesh:
         if np.any(counts > 2):
             raise MeshError("non-conforming: an edge is shared by >2 triangles")
 
-    def write_text(self, stream) -> None:
-        """Dump the mesh in the plain-text exchange format.
-
-        One header line ``nv nt``, then vertex coordinates and triangles.
-        """
-        stream.write(f"{self.num_vertices} {self.num_triangles}\n")
-        for x, y in self.vertices:
-            stream.write(f"{float(x)!r} {float(y)!r}\n")
-        for a, b, c in self.triangles:
-            stream.write(f"{a} {b} {c}\n")
-
 
 def check_level(level: int) -> None:
     """Refuse a unit-square level whose ``(2**level+1)**2`` vertices the

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
 
 import dataclasses
-import io
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ocfem
 from ocfem import MeshError
 from ocfem.cli import RunConfig, main, parse_levels
+from ocfem.study import continuation
 
 
 def run_cli(args):
@@ -82,13 +82,61 @@ def test_solve_writes_summary_and_fields(tmp_path, capsys):
     assert (out / "adjoint.txt").read_text().startswith("p1 25")
 
 
+def _emit(out, *args):
+    """Run ``solve --out out --emit-fields``; each emitted file's lines."""
+    assert run_cli(["solve", *args, "--out", str(out), "--emit-fields"]) == 0
+    return {name: (out / f"{name}.txt").read_text().splitlines()
+            for name in ("mesh", "control", "state", "adjoint")}
+
+
+def _parse_mesh(lines):
+    nv, nt = map(int, lines[0].split())
+    vertices = np.array([[float(tok) for tok in line.split()]
+                         for line in lines[1:1 + nv]])
+    triangles = np.array([[int(tok) for tok in line.split()]
+                          for line in lines[1 + nv:]])
+    return vertices.reshape(nv, 2), triangles.reshape(nt, 3)
+
+
+def test_solve_mesh_file_format(tmp_path):
+    lines = _emit(tmp_path / "run", "--preset", "manufactured-constant",
+                  "--level", "1")["mesh"]
+    assert lines[0] == "9 8"
+    assert len(lines) == 1 + 9 + 8
+    assert all(len(line.split()) == 2 for line in lines[1:10])
+    assert all(len(line.split()) == 3 for line in lines[10:])
+    vertices, triangles = _parse_mesh(lines)
+    expected = ocfem.build_unit_square_mesh(1)
+    assert np.array_equal(vertices, expected.vertices)
+    assert np.array_equal(triangles, expected.triangles)
+
+
+def test_solve_field_file_format(tmp_path):
+    files = _emit(tmp_path / "run", "--preset", "paper-sec6", "--level", "1")
+    for name, header in (("control", "p0 8"), ("state", "p1 9"),
+                         ("adjoint", "p1 9")):
+        lines = files[name]
+        assert lines[0] == header
+        assert len(lines) == 1 + int(header.split()[1])
+        assert all(len(line.split()) == 1 for line in lines[1:])
+        assert np.all(np.isfinite([float(v) for v in lines[1:]]))
+
+
 def test_solve_emits_the_mesh_refined_from_level_3(tmp_path):
-    out = tmp_path / "run"
-    assert run_cli(["solve", "--level", "4", "--out", str(out),
-                    "--emit-fields"]) == 0
-    expected = io.StringIO()
-    ocfem.refine(ocfem.build_unit_square_mesh(3)).write_text(expected)
-    assert (out / "mesh.txt").read_text() == expected.getvalue()
+    vertices, triangles = _parse_mesh(_emit(tmp_path / "run", "--level",
+                                            "4")["mesh"])
+    expected = ocfem.refine(ocfem.build_unit_square_mesh(3))
+    assert np.array_equal(vertices, expected.vertices)
+    assert np.array_equal(triangles, expected.triangles)
+
+
+def test_emitted_fields_round_trip_bit_for_bit(tmp_path):
+    files = _emit(tmp_path / "run", "--level", "4")
+    *_, (solution, _) = continuation(ocfem.get_preset("paper-sec6"), 3, 4)
+    assert solution.control.mesh.num_triangles == 512
+    for name in ("control", "state", "adjoint"):
+        values = np.array([float(v) for v in files[name][1:]])
+        assert values.tobytes() == getattr(solution, name).values.tobytes()
 
 
 def test_solve_tikhonov_control_is_zero(tmp_path):
@@ -367,7 +415,7 @@ def test_negative_inf_and_nan_are_values(flag, value, code, capsys):
 def test_emit_fields_config_values(value, expected, tmp_path):
     from ocfem.cli import _config_from_args, build_parser
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(f"emit_fields={value}\n")
+    cfg_file.write_text(f"emit_fields={value}\nout=run\n")
     args = build_parser().parse_args(["solve", "--config", str(cfg_file)])
     assert _config_from_args(args).emit_fields is expected
 
@@ -492,10 +540,12 @@ def test_config_key_matches_flag(command, key, value, tmp_path):
     cfg_file.write_text(f"{key}={value}\n")
     flag = (["--emit-fields"] if key == "emit_fields"
             else [f"--{key}", value])
+    # --emit-fields needs --out: both sides give the same one.
+    out = ["--out", "run"] if key == "emit_fields" else []
     parser = build_parser()
     from_file = _config_from_args(
-        parser.parse_args([command, "--config", str(cfg_file)]))
-    from_flag = _config_from_args(parser.parse_args([command] + flag))
+        parser.parse_args([command, "--config", str(cfg_file)] + out))
+    from_flag = _config_from_args(parser.parse_args([command] + flag + out))
     assert from_file == from_flag
     assert from_file != RunConfig()
 
@@ -521,6 +571,33 @@ def _forbid_meshes(monkeypatch):
     for module in (cli_mod, study_mod):
         monkeypatch.setattr(module, "build_unit_square_mesh", forbidden)
     monkeypatch.setattr(study_mod, "refine", forbidden)
+
+
+@pytest.mark.parametrize("config", [
+    None, "emit_fields=true\n", "emit_fields=yes\nout=\n",
+], ids=["flag", "config", "config-empty-out"])
+def test_emit_fields_without_out_exit_2_before_any_mesh(
+        config, tmp_path, capsys, monkeypatch):
+    _forbid_meshes(monkeypatch)
+    args = ["solve", "--level", "2"]
+    if config is None:
+        args.append("--emit-fields")
+    else:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --emit-fields needs --out"]
+
+
+@pytest.mark.parametrize("command", ["study", "check"])
+def test_emit_fields_is_ignored_outside_solve(command, tmp_path):
+    from ocfem.cli import _config_from_args, build_parser
+    (tmp_path / "run.cfg").write_text("emit_fields=true\n")
+    args = build_parser().parse_args(
+        [command, "--config", str(tmp_path / "run.cfg")])
+    assert _config_from_args(args).emit_fields is True
 
 
 @pytest.mark.parametrize("args, level", [

@@ -5,7 +5,6 @@ monomial integrals over triangles (factorial formula in barycentric
 coordinates) and tensor-product Gauss quadrature for non-polynomial data.
 """
 import gc
-import io
 import itertools
 import math
 import weakref
@@ -331,20 +330,6 @@ def test_mismatched_meshes_rejected():
     b = P1Field.zeros(build_unit_square_mesh(2))
     with pytest.raises(MeshError):
         l2_diff_p1(a, b)
-
-
-def test_field_dump_format():
-    mesh = build_unit_square_mesh(1)
-    field = P1Field(mesh, mesh.vertices[:, 0])
-    out = io.StringIO()
-    field.write_text(out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == f"p1 {mesh.num_vertices}"
-    assert [float(v) for v in lines[1:]] == list(field.values)
-    control = P0Field(mesh, np.full(mesh.num_triangles, 0.5))
-    out = io.StringIO()
-    control.write_text(out)
-    assert out.getvalue().splitlines()[0] == f"p0 {mesh.num_triangles}"
 
 
 def test_integrate_matches_oracle():

@@ -1,5 +1,4 @@
 """Mesh construction, refinement, prolongation and geometry queries."""
-import io
 import warnings
 from types import SimpleNamespace
 
@@ -277,19 +276,6 @@ def test_vertex_numbering_is_lexicographic():
     mesh = build_unit_square_mesh(2)
     order = np.lexsort((mesh.vertices[:, 0], mesh.vertices[:, 1]))
     assert np.array_equal(order, np.arange(mesh.num_vertices))
-
-
-def test_mesh_dump_format():
-    mesh = build_unit_square_mesh(1)
-    out = io.StringIO()
-    mesh.write_text(out)
-    lines = out.getvalue().splitlines()
-    nv, nt = map(int, lines[0].split())
-    assert (nv, nt) == (9, 8)
-    assert len(lines) == 1 + nv + nt
-    coords = np.array([[float(tok) for tok in line.split()]
-                       for line in lines[1:1 + nv]])
-    assert np.array_equal(coords, mesh.vertices)
 
 
 def test_validate_accepts_the_unit_square():
