@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import re
 import resource
 import sys
@@ -29,8 +28,13 @@ from .errors import (AdmissibilityError, LinearSolverError, MeshError,
 from .fem import P0Field, P1Field
 from .mesh import Mesh, build_unit_square_mesh, check_level
 
-CSV_HEADER = ("j,h,e_u,eoc_u,e_y,eoc_y,e_phi,eoc_phi,"
-              "e_upost,eoc_upost,measure_T1,kkt,iters")
+# The study CSV's columns, in order: CSV name -> ``StudyRecord`` attribute.
+_CSV_COLUMNS = {
+    "j": "level", "h": "h", "e_u": "e_u", "eoc_u": "eoc_u", "e_y": "e_y",
+    "eoc_y": "eoc_y", "e_phi": "e_phi", "eoc_phi": "eoc_phi",
+    "e_upost": "e_upost", "eoc_upost": "eoc_upost", "measure_T1": "measure_t1",
+    "kkt": "kkt_residual", "iters": "outer_iterations"}
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclass
@@ -110,23 +114,15 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _sci(value) -> str:
-    return "" if value is None else f"{value:.6e}"
+def _csv_cell(value) -> str:  # an undefined order is an empty cell
+    return ("" if value is None else str(value) if isinstance(value, int)
+            else f"{value:.6e}")
 
 
 def format_csv_rows(records: List[study.StudyRecord]) -> List[str]:
-    rows = [CSV_HEADER]
-    for r in records:
-        rows.append(",".join([
-            str(r.level), _sci(r.h),
-            _sci(r.e_u), _sci(r.eoc_u),
-            _sci(r.e_y), _sci(r.eoc_y),
-            _sci(r.e_phi), _sci(r.eoc_phi),
-            _sci(r.e_upost), _sci(r.eoc_upost),
-            _sci(r.measure_t1), _sci(r.kkt_residual),
-            str(r.outer_iterations),
-        ]))
-    return rows
+    return [CSV_HEADER] + [
+        ",".join(_csv_cell(getattr(r, attr)) for attr in _CSV_COLUMNS.values())
+        for r in records]
 
 
 def _write_lines(lines: Iterable[str], stream) -> None:
@@ -310,47 +306,54 @@ def _check_z_eta(problem, v1, v2, h12) -> str:
     return f"agreement gap {gap:.2e}"
 
 
+def _once(build):
+    """``build`` run on the first call only: every call returns its value
+    or raises its exception."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((build(), None))
+            except Exception as err:  # raised again to every caller
+                memo.append((None, err))
+        if memo[0][1] is not None:
+            raise memo[0][1]
+        return memo[0][0]
+    return get
+
+
 def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     mesh = build_unit_square_mesh(cfg.level)  # MeshError here exits 2
-    results = []
-    fixture = None
     try:
         spec.validate(build_unit_square_mesh(min(cfg.level, 6)))
-        results.append(("admissibility", "PASS", "data admissible"))
+        admissible, results = True, [("admissibility", "PASS",
+                                      "data admissible")]
     except AdmissibilityError as err:
-        results.append(("admissibility", "FAIL", str(err)))
-    else:
-        try:
-            fixture = _linearization(spec, mesh)
-        except Exception as err:  # reported by each item that needs it
-            fixture = err
-
-    @functools.cache
-    def h12():  # the eta form in (v1, v2), shared by two lines
-        return _eta_form(*fixture)
-
-    items = [
-        ("mesh-invariants", lambda: _check_mesh(mesh), False),
-        ("quadrature-exactness", _check_quadrature, False),
-        ("stiffness-reference", _check_stiffness_reference, False),
-        ("projection-orthogonality", lambda: _check_projection(cfg.level),
-         False),
-        ("manufactured-constant", lambda: _check_manufactured(mesh), False),
-        ("gradient-fd", lambda: _check_gradient_fd(*fixture), True),
-        ("hessian-symmetry",
-         lambda: _check_hessian_symmetry(*fixture, h12()), True),
-        ("z-eta-agreement", lambda: _check_z_eta(*fixture, h12()), True),
+        admissible, results = False, [("admissibility", "FAIL", str(err))]
+    fixture = _once(lambda: _linearization(spec, mesh))
+    h12 = _once(lambda: _eta_form(*fixture()))  # the eta form in (v1, v2)
+    plain = [
+        ("mesh-invariants", lambda: _check_mesh(mesh)),
+        ("quadrature-exactness", _check_quadrature),
+        ("stiffness-reference", _check_stiffness_reference),
+        ("projection-orthogonality", lambda: _check_projection(cfg.level)),
+        ("manufactured-constant", lambda: _check_manufactured(mesh)),
     ]
-    for name, fn, needs_admissible_data in items:
-        if needs_admissible_data and fixture is None:
-            results.append((name, "SKIP", "requires admissible data"))
-        elif needs_admissible_data and isinstance(fixture, Exception):
-            results.append((name, "FAIL", str(fixture)))
-        else:
-            try:
-                results.append((name, "PASS", fn()))
-            except Exception as err:  # report, do not crash the battery
-                results.append((name, "FAIL", str(err)))
+    derivative = [
+        ("gradient-fd", lambda: _check_gradient_fd(*fixture())),
+        ("hessian-symmetry",
+         lambda: _check_hessian_symmetry(*fixture(), h12())),
+        ("z-eta-agreement", lambda: _check_z_eta(*fixture(), h12())),
+    ]
+    for name, fn in plain + (derivative if admissible else []):
+        try:
+            results.append((name, "PASS", fn()))
+        except Exception as err:  # report, do not crash the battery
+            results.append((name, "FAIL", str(err)))
+    if not admissible:
+        results += [(name, "SKIP", "requires admissible data")
+                    for name, _ in derivative]
 
     failed = any(status == "FAIL" for _, status, _ in results)
     for name, status, detail in results:
@@ -358,9 +361,32 @@ def cmd_check(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     return 1 if failed else 0
 
 
+# (limit, usage) files of the process's memory cgroup, v2 then v1.
+_CGROUP_FILES = (
+    ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+    ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+     "/sys/fs/cgroup/memory/memory.usage_in_bytes"),
+)
+
+
+def _cgroup_headroom(limit_path: str, usage_path: str) -> float:
+    """The cgroup's limit minus its usage, in bytes; inf for no limit
+    (``max``, or 2**62 or more, as v1 writes it) or an unreadable file."""
+    try:
+        with open(limit_path) as handle:
+            text = handle.read().strip()
+        if text == "max" or float(text) >= 2.0 ** 62:
+            return inf
+        with open(usage_path) as handle:
+            return float(text) - float(handle.read())
+    except (OSError, ValueError):
+        return inf
+
+
 def _memory_limit() -> float:
     """Bytes this process may use: the smaller of the soft address-space
-    limit and the kernel's MemAvailable (either may be absent)."""
+    limit, the kernel's MemAvailable and the memory cgroup's headroom (any
+    may be absent)."""
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     limit = inf if soft == resource.RLIM_INFINITY else float(soft)
     try:
@@ -370,7 +396,8 @@ def _memory_limit() -> float:
                     limit = min(limit, 1024.0 * float(line.split()[1]))
     except OSError:
         pass
-    return limit
+    return min([limit] + [_cgroup_headroom(*files)
+                          for files in _CGROUP_FILES])
 
 
 def _check_memory(level: int) -> None:

@@ -9,8 +9,9 @@ Element conventions
   ``int_T f ~= |T| * sum_q w_q f(x_q)``.
 * Integrands of ``assemble_volume_load``, ``integrate`` and the weighted
   mass are quadrature values, shape (nt, nq), and nothing else;
-  ``at_points`` is the one way from a coefficient callable to such values,
-  and ``l2_project_p0`` takes a callable and evaluates it through it.
+  ``at_points`` is the one way from a coefficient callable to such values
+  and to the boundary flux's; it broadcasts, so every coefficient but the
+  diffusion may return a scalar.  ``l2_project_p0`` takes a callable.
 * The boundary is not stored on the mesh: it is the set of edges in one
   triangle only, read once per mesh off the sparsity pattern's counts.
 * Products of two P1 factors (elementwise means of y*phi, norms, the mass
@@ -65,6 +66,8 @@ _S35 = np.sqrt(0.6)
 EDGE_RULE_POINTS = np.array([0.5 * (1.0 - _S35), 0.5, 0.5 * (1.0 + _S35)])
 EDGE_RULE_WEIGHTS = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
 EDGE_RULE_DEGREE = 5
+# Shape functions (1 - t, t) of an edge's two ends at the rule's points.
+_EDGE_SHAPES = np.column_stack([1.0 - EDGE_RULE_POINTS, EDGE_RULE_POINTS])
 
 
 class P1Field:
@@ -132,8 +135,9 @@ def at_points(fn, points: np.ndarray, y=None) -> np.ndarray:
     shape = points.shape[:-1]
     flat = points.reshape(-1, 2)
     vals = fn(flat) if y is None else fn(flat, np.reshape(y, -1))
-    return np.broadcast_to(np.asarray(vals, dtype=float),
-                           (len(flat),)).reshape(shape)
+    # Contiguous: a scalar kept as a zero-stride view raised peak RSS.
+    return np.ascontiguousarray(np.broadcast_to(
+        np.asarray(vals, dtype=float), (len(flat),))).reshape(shape)
 
 
 def _quad_values(mesh, vals) -> np.ndarray:
@@ -144,10 +148,9 @@ def _quad_values(mesh, vals) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def _scatter_nodal(mesh: Mesh, contributions: np.ndarray) -> np.ndarray:
-    """Accumulate per-triangle nodal contributions (nt, 3) into (nv,)."""
-    return np.bincount(mesh.triangles.ravel(),
-                       weights=contributions.ravel(),
+def _scatter_nodal(mesh: Mesh, nodes, contributions) -> np.ndarray:
+    """Sum the contributions to the vertex rows ``nodes`` into (nv,)."""
+    return np.bincount(nodes.ravel(), weights=contributions.ravel(),
                        minlength=mesh.num_vertices)
 
 
@@ -169,13 +172,10 @@ def _stiffness_data(mesh: Mesh, diffusion) -> np.ndarray:
 
 
 def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
-    """Local (nt, 3, 3) stiffness matrices."""
-    g = mesh.gradients()                             # (nt, 3, 2)
+    """Local (nt, 3, 3) stiffness matrices of the mean coefficients."""
+    g0, g1 = np.moveaxis(mesh.gradients(), 2, 0)    # (nt, 3) each
     if diffusion is None:
-        # Row by row, so the temporary is (nt, 3), not a second (nt, 3, 3).
-        local = g[:, :, None, 0] * g[:, None, :, 0]
-        for i in range(3):
-            local[:, i] += g[:, i, None, 1] * g[:, :, 1]
+        c00, c01, c10, c11 = 1.0, 0.0, 0.0, 1.0
     else:
         pts = quadrature_points(mesh).reshape(-1, 2)
         coef = np.asarray(diffusion(pts), dtype=float)
@@ -187,12 +187,14 @@ def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
         avg = np.einsum("q,tqab->tab",
                         TRIANGLE_RULE.weights,
                         coef.reshape(mesh.num_triangles, -1, 2, 2))
-        # Each term is symmetric in (i, j) to the bit, so is the sum.
-        gi, gj, c = g[:, :, None], g[:, None, :], avg[:, None, None]
-        local = (c[..., 0, 0] * (gi[..., 0] * gj[..., 0])
-                 + c[..., 1, 1] * (gi[..., 1] * gj[..., 1])
-                 + (c[..., 0, 1] + c[..., 1, 0]) / 2
-                 * (gi[..., 0] * gj[..., 1] + gi[..., 1] * gj[..., 0]))
+        c00, c01, c10, c11 = avg.reshape(-1, 4).T[:, :, None]
+    # Row by row, so the temporaries are (nt, 3).  Each term is symmetric in
+    # (i, j) to the bit, so is the sum; the identity gives gi0 gj0 + gi1 gj1.
+    local = np.empty((mesh.num_triangles, 3, 3))
+    for i in range(3):
+        gi0, gi1 = g0[:, i, None], g1[:, i, None]
+        local[:, i] = (c00 * (gi0 * g0) + c11 * (gi1 * g1)
+                       + (c01 + c10) / 2 * (gi0 * g1 + gi1 * g0))
     local *= mesh.areas[:, None, None]
     return local
 
@@ -265,7 +267,7 @@ def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
     contrib = ((_quad_values(mesh, f) * TRIANGLE_RULE.weights)
                @ TRIANGLE_RULE.points)                           # (nt, 3)
     contrib *= mesh.areas[:, None]
-    return _scatter_nodal(mesh, contrib)
+    return _scatter_nodal(mesh, mesh.triangles, contrib)
 
 
 def _boundary_edges(mesh: Mesh) -> np.ndarray:
@@ -284,19 +286,12 @@ def _boundary_edges(mesh: Mesh) -> np.ndarray:
 def assemble_boundary_load(mesh: Mesh, g) -> np.ndarray:
     """Load vector with entries ``int_Gamma g phi_i`` by edge quadrature
     (a symmetric rule, so the orientation of an edge is immaterial)."""
-    out = np.zeros(mesh.num_vertices)
     edges = _boundary_edges(mesh)
-    p0 = mesh.vertices[edges[:, 0]]
-    p1 = mesh.vertices[edges[:, 1]]
-    lengths = np.linalg.norm(p1 - p0, axis=1)
-    for t, w in zip(EDGE_RULE_POINTS, EDGE_RULE_WEIGHTS):
-        pts = (1.0 - t) * p0 + t * p1
-        gv = np.asarray(g(pts), dtype=float) * w * lengths
-        out += np.bincount(edges[:, 0], weights=gv * (1.0 - t),
-                           minlength=mesh.num_vertices)
-        out += np.bincount(edges[:, 1], weights=gv * t,
-                           minlength=mesh.num_vertices)
-    return out
+    corners = mesh.vertices[edges]                            # (ne, 2, 2)
+    lengths = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+    gv = at_points(g, _EDGE_SHAPES @ corners)                 # (ne, 3)
+    contrib = (gv * (EDGE_RULE_WEIGHTS * lengths[:, None])) @ _EDGE_SHAPES
+    return _scatter_nodal(mesh, edges, contrib)
 
 
 def p0_weighted_p1_load(mesh: Mesh, v: P0Field, w: P1Field) -> np.ndarray:
@@ -310,7 +305,7 @@ def p0_weighted_p1_load(mesh: Mesh, v: P0Field, w: P1Field) -> np.ndarray:
     total = w_loc[:, 0] + w_loc[:, 1] + w_loc[:, 2]
     action = (w_loc + total[:, None]) / 12.0
     contrib = (v.values * mesh.areas)[:, None] * action
-    return _scatter_nodal(mesh, contrib)
+    return _scatter_nodal(mesh, mesh.triangles, contrib)
 
 
 def elementwise_p1_product_mean(mesh: Mesh, a: P1Field, b: P1Field) -> np.ndarray:
@@ -348,9 +343,9 @@ def l2_diff_p0(a: P0Field, b: P0Field) -> float:
 def l2_diff_p1(a: P1Field, b: P1Field) -> float:
     """Exact L2 norm of the difference of two P1 fields on one mesh."""
     _require_same_mesh(a, b)
-    d = (a.values - b.values)[a.mesh.triangles]
-    per_t = np.sum(d * d, axis=1) + d.sum(axis=1) ** 2
-    return float(np.sqrt(np.sum(a.mesh.areas / 12.0 * per_t)))
+    d = P1Field(a.mesh, a.values - b.values)
+    return float(np.sqrt(np.sum(
+        a.mesh.areas * elementwise_p1_product_mean(a.mesh, d, d))))
 
 
 def linf_diff_p1(a: P1Field, b: P1Field) -> float:

@@ -42,6 +42,8 @@ from .fem import P0Field, P1Field
 from .linalg import FactorSlot
 from .mesh import Mesh
 
+KKT_TOL = 1e-9  # default stop of solve_ocp on the KKT residual
+
 
 @dataclass
 class OcpSolution:
@@ -65,7 +67,8 @@ class Linearization:
     new one if None)."""
 
     def __init__(self, spec, mesh, u, state_init=None, *,
-                 newton_tol=1e-11, linear_tol=1e-12, slot=None):
+                 newton_tol=pde.NEWTON_TOL, linear_tol=pde.LINEAR_TOL,
+                 slot=None):
         self.spec = spec
         self.mesh = mesh
         self.u = u
@@ -196,8 +199,8 @@ def _reduced_cg(problem, rhs, inactive, areas, tol):
 
 
 def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
-              tol: float = 1e-9, newton_tol: float = 1e-11,
-              linear_tol: float = 1e-12,
+              tol: float = KKT_TOL, newton_tol: float = pde.NEWTON_TOL,
+              linear_tol: float = pde.LINEAR_TOL,
               state_init: P1Field = None) -> OcpSolution:
     """Solve the discrete control problem to a KKT residual below ``tol``.
 

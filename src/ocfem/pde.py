@@ -38,13 +38,19 @@ from .fem import P0Field, P1Field
 from .linalg import FactorSlot, SparseSymOperator, norm
 from .mesh import Mesh
 
+# Default tolerances: the state Newton stop, relative to 1 + ||g||, and the
+# relative residual of every linear solve.
+NEWTON_TOL = 1e-11
+LINEAR_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """All data of the control problem.
 
     Evaluator conventions: point arguments are arrays of shape (..., 2),
-    state arguments arrays of shape (...); results broadcast to (...).
+    state arguments arrays of shape (...); results broadcast to (...), so
+    every coefficient but ``diffusion`` may return a scalar for a constant.
     The state's nonlinearity is a(x, y) = ``reaction(x, y) - source(x)``,
     with an x-only ``source``; the derivatives and the floor of a are those
     of the reaction.  The tracking term L(x, y) and its derivatives are
@@ -147,8 +153,8 @@ _NEWTON_MAX_ITERATIONS = 50  # iteration budget of solve_state
 
 
 def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
-                init: P1Field = None, *, tol: float = 1e-11,
-                linear_tol: float = 1e-12, slot: FactorSlot = None):
+                init: P1Field = None, *, tol: float = NEWTON_TOL,
+                linear_tol: float = LINEAR_TOL, slot: FactorSlot = None):
     """Damped Newton solve of the discrete semilinear state equation.
 
     Returns ``(P1Field, SolveReport)``.  The residual
@@ -217,7 +223,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
 
 
 def solve_adjoint(spec: ProblemSpec, operator: SparseSymOperator,
-                  y: P1Field, *, linear_tol: float = 1e-12) -> P1Field:
+                  y: P1Field, *, linear_tol: float = LINEAR_TOL) -> P1Field:
     """Discrete adjoint state at the state ``y``, with the linearized
     operator there."""
     mesh = y.mesh
@@ -227,7 +233,7 @@ def solve_adjoint(spec: ProblemSpec, operator: SparseSymOperator,
 
 
 def solve_linearized(operator: SparseSymOperator, y: P1Field, v: P0Field, *,
-                     linear_tol: float = 1e-12) -> P1Field:
+                     linear_tol: float = LINEAR_TOL) -> P1Field:
     """Derivative of the control-to-state map at the state ``y`` in
     direction v (P0), with the linearized operator there."""
     rhs = -fem.p0_weighted_p1_load(y.mesh, v, y)
@@ -236,7 +242,7 @@ def solve_linearized(operator: SparseSymOperator, y: P1Field, v: P0Field, *,
 
 def solve_eta(operator: SparseSymOperator, phi: P1Field, z: P1Field,
               v: P0Field, curvature: np.ndarray, *,
-              linear_tol: float = 1e-12) -> P1Field:
+              linear_tol: float = LINEAR_TOL) -> P1Field:
     """Second-order auxiliary solve feeding the Hessian representation:
     ``curvature`` holds the quadrature values of
     ``d2L/dy2 - phi d2a/dy2`` at the state."""

@@ -1,7 +1,7 @@
 """Built-in problem definitions for the CLI and the test batteries.
 
 Presets are compiled in: configuration files may override scalar data
-(nu, bounds) but not the coefficient functions.
+(nu, bounds) but not the coefficient functions, whose constants are scalars.
 """
 from __future__ import annotations
 
@@ -45,14 +45,14 @@ def _flagship() -> ProblemSpec:
         source=source,
         nonlinearity_dy=nonlinearity_dy,
         nonlinearity_dyy=nonlinearity_dyy,
-        reaction_floor=lambda x: np.full(x.shape[:-1], 2.0),
-        boundary_flux=lambda x: np.zeros(x.shape[:-1]),
+        reaction_floor=lambda x: 2.0,
+        boundary_flux=lambda x: 0.0,
         nu=0.05,
         alpha=-1.0,
         beta=1.0,
         objective=lambda x, y: 0.5 * (y - target(x)) ** 2,
         objective_dy=lambda x, y: y - target(x),
-        objective_dyy=lambda x, y: np.ones(np.broadcast(x[..., 0], y).shape),
+        objective_dyy=lambda x, y: 1.0,
         name="paper-sec6",
     )
 
@@ -81,17 +81,17 @@ def _manufactured_constant() -> ProblemSpec:
     """
     return ProblemSpec(
         reaction=lambda x, y: y,
-        source=lambda x: np.ones(x.shape[:-1]),
-        nonlinearity_dy=lambda x, y: np.ones(np.broadcast(x[..., 0], y).shape),
-        nonlinearity_dyy=lambda x, y: np.zeros(np.broadcast(x[..., 0], y).shape),
-        reaction_floor=lambda x: np.ones(x.shape[:-1]),
-        boundary_flux=lambda x: np.zeros(x.shape[:-1]),
+        source=lambda x: 1.0,
+        nonlinearity_dy=lambda x, y: 1.0,
+        nonlinearity_dyy=lambda x, y: 0.0,
+        reaction_floor=lambda x: 1.0,
+        boundary_flux=lambda x: 0.0,
         nu=0.05,
         alpha=-0.5,
         beta=0.5,
         objective=lambda x, y: 0.5 * (y - 1.0) ** 2,
         objective_dy=lambda x, y: y - 1.0,
-        objective_dyy=lambda x, y: np.ones(np.broadcast(x[..., 0], y).shape),
+        objective_dyy=lambda x, y: 1.0,
         name="manufactured-constant",
     )
 

@@ -124,8 +124,9 @@ def postprocess_error_cross(spec: pde.ProblemSpec, coarse, fine) -> float:
 
 
 def continuation(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
-                 tol: float = 1e-9, newton_tol: float = 1e-11,
-                 linear_tol: float = 1e-12):
+                 tol: float = optimizer.KKT_TOL,
+                 newton_tol: float = pde.NEWTON_TOL,
+                 linear_tol: float = pde.LINEAR_TOL):
     """Solve levels ``j_min..j_max`` by nested iteration: each level starts
     from ``fields``, the previous level's (control, state, adjoint)
     prolonged to its mesh (None at ``j_min``).  Yields ``(solution,
@@ -147,8 +148,9 @@ def continuation(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
 
 
 def run_study(spec: pde.ProblemSpec, j_min: int, j_max: int, *,
-              tol: float = 1e-9, newton_tol: float = 1e-11,
-              linear_tol: float = 1e-12,
+              tol: float = optimizer.KKT_TOL,
+              newton_tol: float = pde.NEWTON_TOL,
+              linear_tol: float = pde.LINEAR_TOL,
               progress: Optional[Callable] = None) -> List[StudyRecord]:
     """Tabulate ``continuation`` on levels ``j_min..j_max``.
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, CSV format, battery."""
 
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -279,6 +280,13 @@ def test_solve_failure_on_a_coarser_level_exit_1(capsys, monkeypatch):
     assert captured.err.splitlines() == ["error: forced failure"]
 
 
+def test_every_study_record_field_is_one_csv_column():
+    import ocfem.cli as cli_mod
+    from ocfem.study import StudyRecord
+    assert sorted(cli_mod._CSV_COLUMNS.values()) == \
+        sorted(field.name for field in dataclasses.fields(StudyRecord))
+
+
 def test_study_partial_csv_on_failure(tmp_path, capsys, monkeypatch):
     from ocfem import NonconvergenceError, study as study_mod
     from ocfem.cli import CSV_HEADER
@@ -494,6 +502,13 @@ def test_check_builds_one_linearization(capsys, monkeypatch):
     assert capsys.readouterr().out.count("PASS") == 9
 
 
+def test_check_output_matches_the_golden(capsys):
+    # tests/data/check_3.txt is the same under 1 and 2 BLAS threads.
+    golden = Path(__file__).parent / "data" / "check_3.txt"
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "3"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_check_inadmissible_builds_no_linearization(capsys, monkeypatch):
     seen = _record_linearizations(monkeypatch)
     assert run_cli(["check", "--preset", "paper-sec6", "--level", "2",
@@ -508,7 +523,10 @@ def test_check_inadmissible_builds_no_linearization(capsys, monkeypatch):
 def test_check_fixture_failure_fails_dependent_items(capsys, monkeypatch):
     import ocfem.cli as cli_mod
 
+    attempts = []
+
     def fails(*args, **kwargs):
+        attempts.append(args)
         raise cli_mod.NonconvergenceError("forced failure")
 
     monkeypatch.setattr(cli_mod.optimizer, "Linearization", fails)
@@ -517,6 +535,7 @@ def test_check_fixture_failure_fails_dependent_items(capsys, monkeypatch):
               if line.startswith("FAIL")]
     assert failed == [f"FAIL {name}: forced failure" for name in
                       ("gradient-fd", "hessian-symmetry", "z-eta-agreement")]
+    assert len(attempts) == 1
 
 
 # One value per config key, and the subcommand that has the matching flag.
@@ -631,16 +650,27 @@ def test_memory_guard_reads_the_limit(capsys, monkeypatch):
                     "--level", "2"]) == 0
 
 
-class _FakeMeminfo:
-    def __init__(self, available_kib):
-        self.lines = ["MemTotal:       16000000 kB\n",
-                      f"MemAvailable:   {available_kib} kB\n"]
+_MEMINFO = "/proc/meminfo"
+_CGROUP_V2 = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current")
+_CGROUP_V1 = ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+              "/sys/fs/cgroup/memory/memory.usage_in_bytes")
 
-    def __enter__(self):
-        return iter(self.lines)
 
-    def __exit__(self, *exc):
-        return False
+def _fake_files(monkeypatch, files):
+    """``open`` in ``ocfem.cli`` reads ``files`` (path -> text); any other
+    path is missing."""
+    import ocfem.cli as cli_mod
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(cli_mod, "open", fake_open, raising=False)
+
+
+def _meminfo(available_kib):
+    return f"MemTotal:       16000000 kB\nMemAvailable:   {available_kib} kB\n"
 
 
 @pytest.mark.parametrize("soft, available_kib, expected", [
@@ -654,22 +684,45 @@ def test_memory_limit_is_the_smaller_reading(soft, available_kib, expected,
     soft = cli_mod.resource.RLIM_INFINITY if soft == -1 else soft
     monkeypatch.setattr(cli_mod.resource, "getrlimit",
                         lambda which: (soft, cli_mod.resource.RLIM_INFINITY))
-    monkeypatch.setattr(cli_mod, "open",
-                        lambda path: _FakeMeminfo(available_kib),
-                        raising=False)
+    _fake_files(monkeypatch, {_MEMINFO: _meminfo(available_kib)})
     assert cli_mod._memory_limit() == expected
 
 
 def test_memory_limit_without_meminfo(monkeypatch):
     import ocfem.cli as cli_mod
-
-    def missing(path):
-        raise OSError("no such file")
-
     monkeypatch.setattr(cli_mod.resource, "getrlimit",
                         lambda which: (2 ** 30, 2 ** 31))
-    monkeypatch.setattr(cli_mod, "open", missing, raising=False)
+    _fake_files(monkeypatch, {})
     assert cli_mod._memory_limit() == 2.0 ** 30
+
+
+@pytest.mark.parametrize("files", [_CGROUP_V2, _CGROUP_V1],
+                         ids=["v2", "v1"])
+def test_memory_limit_reads_the_cgroup_headroom(files, monkeypatch):
+    import ocfem.cli as cli_mod
+    monkeypatch.setattr(cli_mod.resource, "getrlimit",
+                        lambda which: (cli_mod.resource.RLIM_INFINITY,) * 2)
+    limit, usage = files
+    # 1 GiB limit, 256 MiB used: 768 MiB left, below 4 GiB MemAvailable.
+    _fake_files(monkeypatch, {_MEMINFO: _meminfo(4 * 2 ** 20),
+                              limit: f"{2 ** 30}\n",
+                              usage: f"{2 ** 28}\n"})
+    assert cli_mod._memory_limit() == 3.0 * 2 ** 28
+
+
+@pytest.mark.parametrize("text", ["max\n", f"{2 ** 62}\n",
+                                  "9223372036854771712\n", "garbage\n"])
+@pytest.mark.parametrize("files", [_CGROUP_V2, _CGROUP_V1],
+                         ids=["v2", "v1"])
+def test_memory_limit_skips_an_unlimited_or_unreadable_cgroup(files, text,
+                                                              monkeypatch):
+    import ocfem.cli as cli_mod
+    monkeypatch.setattr(cli_mod.resource, "getrlimit",
+                        lambda which: (cli_mod.resource.RLIM_INFINITY,) * 2)
+    limit, usage = files
+    _fake_files(monkeypatch, {_MEMINFO: _meminfo(4096), limit: text,
+                              usage: f"{2 ** 28}\n"})
+    assert cli_mod._memory_limit() == 4096 * 1024.0
 
 
 # Config-file fuzzing. The commands themselves are stubbed to return 0 and

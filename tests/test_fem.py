@@ -170,6 +170,8 @@ def test_boundary_load_partition_of_unity():
     mesh = build_unit_square_mesh(4)
     b = assemble_boundary_load(mesh, lambda x: np.ones(len(x)))
     assert b.sum() == pytest.approx(4.0, abs=1e-12)
+    # A constant flux may return a scalar: the same load, bit for bit.
+    assert np.array_equal(assemble_boundary_load(mesh, lambda x: 1.0), b)
 
 
 def _square_sides(level):
@@ -454,6 +456,21 @@ def test_assembly_matches_coo_oracle(level, diffusion):
 @pytest.mark.parametrize("level", range(9))
 def test_laplacian_stiffness_is_bitwise_the_einsum_kernel(level):
     mesh = build_unit_square_mesh(level)
+    g = mesh.gradients()
+    local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
+    assert np.array_equal(assemble_stiffness(mesh).matrix.data,
+                          fem._pattern_data(mesh, local))
+
+
+def test_laplacian_stiffness_is_bitwise_the_closed_form_off_the_grid():
+    # Perturbed interior vertices: no gradient entry is a power of two, so
+    # the identity's zero cross term must vanish from g g^T to the bit.
+    base = build_unit_square_mesh(4)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(11)
+    vertices[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / 16
+    mesh = Mesh(vertices, base.triangles, 4)
     g = mesh.gradients()
     local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
     assert np.array_equal(assemble_stiffness(mesh).matrix.data,
