@@ -6,9 +6,9 @@ superconvergence and post-processing."""
 from .errors import (AdmissibilityError, CoercivityError, LinearSolverError,
                      MeshError, MeshSizeError, NonconvergenceError,
                      OcfemError)
-from .fem import (P0Field, P1Field, QuadratureRule, TRIANGLE_RULE,
-                  assemble_boundary_load, assemble_stiffness,
-                  assemble_volume_load, assemble_weighted_mass,
+from .fem import (P0Field, P1Field, assemble_boundary_load,
+                  assemble_stiffness, assemble_volume_load,
+                  assemble_weighted_mass,
                   elementwise_p1_product_mean, integrate, l2_diff_p0,
                   l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
                   l2_project_p0, linf_diff_p1, prolong_p0, prolong_p1)

@@ -15,8 +15,8 @@ import re
 import resource
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from math import factorial, inf
+from itertools import chain, product
+from math import factorial, inf, prod
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
@@ -137,7 +137,7 @@ def cmd_solve(cfg: RunConfig, spec: pde.ProblemSpec) -> int:
     for solution, _ in study.continuation(spec, min(3, cfg.level), cfg.level):
         mesh = solution.control.mesh
     summary = [
-        f"preset={spec.name or cfg.preset}",
+        f"preset={spec.name}",
         f"level={cfg.level}",
         f"vertices={mesh.num_vertices}",
         f"triangles={mesh.num_triangles}",
@@ -191,18 +191,20 @@ def _check_mesh(mesh: Mesh) -> str:
 
 
 def _check_quadrature() -> str:
-    rule = fem.TRIANGLE_RULE
-    xy = rule.points[:, 1:3]                          # reference coordinates
+    """Each rule on the d-simplex against the exact means
+    ``d! prod(e!) / (d + sum(e))!`` of the monomials of its points' last d
+    barycentric coordinates, to the rule's degree."""
     worst = 0.0
-    for a in range(rule.degree + 1):
-        for b in range(rule.degree + 1 - a):
-            approx = 0.5 * float(rule.weights @ (xy[:, 0] ** a *
-                                                 xy[:, 1] ** b))
-            exact = factorial(a) * factorial(b) / factorial(a + b + 2)
-            worst = max(worst, abs(approx - exact) / exact)
-    for k in range(fem.EDGE_RULE_DEGREE + 1):
-        approx = float(fem.EDGE_RULE_WEIGHTS @ fem.EDGE_RULE_POINTS ** k)
-        worst = max(worst, abs(approx - 1.0 / (k + 1)) * (k + 1))
+    for points, weights, degree in (
+            (fem.TRIANGLE_POINTS, fem.TRIANGLE_WEIGHTS, fem.TRIANGLE_DEGREE),
+            (fem.EDGE_POINTS, fem.EDGE_WEIGHTS, fem.EDGE_DEGREE)):
+        d = points.shape[1] - 1
+        for powers in product(range(degree + 1), repeat=d):
+            if sum(powers) <= degree:
+                mean = float(weights @ np.prod(points[:, 1:] ** powers, axis=1))
+                exact = factorial(d) * prod(map(factorial, powers)) / \
+                    factorial(d + sum(powers))
+                worst = max(worst, abs(mean - exact) / exact)
     if worst > 5e-14:
         raise OcfemError(f"quadrature exactness violated: {worst:.3e}")
     return f"max relative defect {worst:.2e}"
@@ -228,7 +230,7 @@ def _check_projection(level: int) -> str:
     projected = fem.l2_project_p0(mesh, source)
     vals = fem.at_points(source, fem.quadrature_points(mesh))
     defect = vals - projected.values[:, None]
-    per_t = mesh.areas * (defect @ fem.TRIANGLE_RULE.weights)
+    per_t = mesh.areas * (defect @ fem.TRIANGLE_WEIGHTS)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(3):

@@ -4,9 +4,10 @@ Element conventions
 -------------------
 * P1 basis functions on a triangle are the barycentric coordinates; their
   gradients are constant per triangle, computed by ``Mesh.gradients``.
-* Integrals over a triangle use a symmetric quadrature rule stated in
-  barycentric coordinates with weights summing to one, so that
-  ``int_T f ~= |T| * sum_q w_q f(x_q)``.
+* A quadrature rule is its points in barycentric coordinates, its
+  weights summing to one and its degree, as module constants:
+  ``TRIANGLE_*`` (6 points, degree 4) for ``int_T f ~= |T| * sum_q w_q
+  f(x_q)`` and ``EDGE_*`` (3 Gauss points, degree 5) for the boundary.
 * Integrands of ``assemble_volume_load``, ``integrate`` and the weighted
   mass are quadrature values, shape (nt, nq), and nothing else;
   ``at_points`` is the one way from a coefficient callable to such values
@@ -22,7 +23,6 @@ Element conventions
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,42 +32,26 @@ from .linalg import FactorSlot, SparseSymOperator
 from .mesh import Mesh
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric points/weights integrating polynomials exactly up to
-    ``degree`` on the reference triangle; weights sum to one."""
-
-    points: np.ndarray   # (nq, 3)
-    weights: np.ndarray  # (nq,)
-    degree: int
-
-
-def _symmetric_rule(groups):
-    pts, wts = [], []
-    for w, a, b in groups:
-        pts += [(a, b, b), (b, a, b), (b, b, a)]
-        wts += [w, w, w]
-    return QuadratureRule(np.array(pts), np.array(wts), degree=4)
-
-
-# 6-point degree-4 symmetric rule (two orbits).
-TRIANGLE_RULE = _symmetric_rule([
-    (0.223381589678011, 0.108103018168070, 0.445948490915965),
-    (0.109951743655322, 0.816847572980459, 0.091576213509771),
-])
+# 6-point degree-4 symmetric rule on the triangle: each orbit (w, a, b)
+# gives the points (a, b, b), (b, a, b), (b, b, a), each of weight w.
+_ORBITS = [(0.223381589678011, 0.108103018168070, 0.445948490915965),
+           (0.109951743655322, 0.816847572980459, 0.091576213509771)]
+TRIANGLE_POINTS = np.array([p for _, a, b in _ORBITS
+                            for p in ((a, b, b), (b, a, b), (b, b, a))])
+TRIANGLE_WEIGHTS = np.repeat([w for w, _, _ in _ORBITS], 3)
+TRIANGLE_DEGREE = 4
 
 # lambda_i * lambda_j at the rule's points, (nq, 9) in row-major (i, j)
 # order: the local weighted mass matrices are one matmul against it.
-_LAMBDA_PRODUCTS = (TRIANGLE_RULE.points[:, :, None]
-                    * TRIANGLE_RULE.points[:, None, :]).reshape(-1, 9)
+_LAMBDA_PRODUCTS = (TRIANGLE_POINTS[:, :, None]
+                    * TRIANGLE_POINTS[:, None, :]).reshape(-1, 9)
 
-# 3-point Gauss rule on [0,1]: exact for polynomials up to degree 5.
+# 3-point Gauss rule on an edge: (1 - t, t) at the Gauss points t of [0, 1].
 _S35 = np.sqrt(0.6)
-EDGE_RULE_POINTS = np.array([0.5 * (1.0 - _S35), 0.5, 0.5 * (1.0 + _S35)])
-EDGE_RULE_WEIGHTS = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
-EDGE_RULE_DEGREE = 5
-# Shape functions (1 - t, t) of an edge's two ends at the rule's points.
-_EDGE_SHAPES = np.column_stack([1.0 - EDGE_RULE_POINTS, EDGE_RULE_POINTS])
+EDGE_POINTS = np.array([(1.0 - t, t) for t in
+                        (0.5 * (1.0 - _S35), 0.5, 0.5 * (1.0 + _S35))])
+EDGE_WEIGHTS = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
+EDGE_DEGREE = 5
 
 
 class P1Field:
@@ -79,13 +63,9 @@ class P1Field:
         if self.values.shape != (mesh.num_vertices,):
             raise MeshError("P1 field needs one value per vertex")
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "P1Field":
-        return cls(mesh, np.zeros(mesh.num_vertices))
-
     def at_quadrature(self) -> np.ndarray:
         """Values at all quadrature points, shape (nt, nq)."""
-        return self.values[self.mesh.triangles] @ TRIANGLE_RULE.points.T
+        return self.values[self.mesh.triangles] @ TRIANGLE_POINTS.T
 
 
 class P0Field:
@@ -123,7 +103,7 @@ def quadrature_points(mesh: Mesh) -> np.ndarray:
     """
     def build():
         corners = mesh.vertices[mesh.triangles]      # (nt, 3, 2)
-        return (np.einsum("qk,tkd->tqd", TRIANGLE_RULE.points, corners),)
+        return (np.einsum("qk,tkd->tqd", TRIANGLE_POINTS, corners),)
 
     return _per_mesh(mesh, "quadrature_points", build)[0]
 
@@ -142,7 +122,7 @@ def at_points(fn, points: np.ndarray, y=None) -> np.ndarray:
 
 def _quad_values(mesh, vals) -> np.ndarray:
     """``vals`` as an array, if it has the quadrature shape (nt, nq)."""
-    shape = (mesh.num_triangles, len(TRIANGLE_RULE.weights))
+    shape = (mesh.num_triangles, len(TRIANGLE_WEIGHTS))
     if np.shape(vals) != shape:
         raise OcfemError(f"expected quadrature values of shape {shape}")
     return np.asarray(vals, dtype=float)
@@ -185,7 +165,7 @@ def _local_stiffness(mesh: Mesh, diffusion) -> np.ndarray:
                 1e-12 * max(np.max(np.abs(coef)), 1.0):
             raise OcfemError("diffusion coefficient matrix is not symmetric")
         avg = np.einsum("q,tqab->tab",
-                        TRIANGLE_RULE.weights,
+                        TRIANGLE_WEIGHTS,
                         coef.reshape(mesh.num_triangles, -1, 2, 2))
         c00, c01, c10, c11 = avg.reshape(-1, 4).T[:, :, None]
     # Row by row, so the temporaries are (nt, 3).  Each term is symmetric in
@@ -208,7 +188,7 @@ def assemble_weighted_mass(mesh: Mesh, weight) -> SparseSymOperator:
 
 def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
     """Local (nt, 3, 3) mass matrices of ``int w y z``."""
-    wq = _quad_values(mesh, weight) * TRIANGLE_RULE.weights     # (nt, nq)
+    wq = _quad_values(mesh, weight) * TRIANGLE_WEIGHTS          # (nt, nq)
     local = (wq @ _LAMBDA_PRODUCTS).reshape(mesh.num_triangles, 3, 3)
     local *= mesh.areas[:, None, None]
     return local
@@ -264,8 +244,8 @@ def add_weighted_mass(mesh: Mesh, diffusion, weight,
 def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector with entries ``int_Omega f phi_i`` by quadrature, for
     the quadrature values ``f`` (nt, nq)."""
-    contrib = ((_quad_values(mesh, f) * TRIANGLE_RULE.weights)
-               @ TRIANGLE_RULE.points)                           # (nt, 3)
+    contrib = ((_quad_values(mesh, f) * TRIANGLE_WEIGHTS)
+               @ TRIANGLE_POINTS)                                # (nt, 3)
     contrib *= mesh.areas[:, None]
     return _scatter_nodal(mesh, mesh.triangles, contrib)
 
@@ -289,8 +269,8 @@ def assemble_boundary_load(mesh: Mesh, g) -> np.ndarray:
     edges = _boundary_edges(mesh)
     corners = mesh.vertices[edges]                            # (ne, 2, 2)
     lengths = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
-    gv = at_points(g, _EDGE_SHAPES @ corners)                 # (ne, 3)
-    contrib = (gv * (EDGE_RULE_WEIGHTS * lengths[:, None])) @ _EDGE_SHAPES
+    gv = at_points(g, EDGE_POINTS @ corners)                  # (ne, 3)
+    contrib = (gv * (EDGE_WEIGHTS * lengths[:, None])) @ EDGE_POINTS
     return _scatter_nodal(mesh, edges, contrib)
 
 
@@ -323,14 +303,14 @@ def l2_project_p0(mesh: Mesh, fn) -> P0Field:
     """L2-orthogonal projection of the coefficient ``fn(x)`` onto
     elementwise constants: its quadrature mean on each element."""
     vals = at_points(fn, quadrature_points(mesh))
-    return P0Field(mesh, vals @ TRIANGLE_RULE.weights)
+    return P0Field(mesh, vals @ TRIANGLE_WEIGHTS)
 
 
 def integrate(mesh: Mesh, vals) -> float:
     """Quadrature value of ``int_Omega f`` for the quadrature values
     ``vals`` (nt, nq) of f."""
     return float(np.sum(mesh.areas * (_quad_values(mesh, vals)
-                                      @ TRIANGLE_RULE.weights)))
+                                      @ TRIANGLE_WEIGHTS)))
 
 
 def l2_diff_p0(a: P0Field, b: P0Field) -> float:

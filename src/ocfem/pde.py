@@ -110,22 +110,25 @@ class ProblemSpec:
             dy = fem.at_points(self.nonlinearity_dy, sample,
                                np.full(len(sample), y_val))
             gap = float(np.min(dy - a0s))
-            if gap < -1e-10:
+            if not gap >= -1e-10:   # a NaN gap is refused too
                 raise AdmissibilityError(
                     f"da/dy(x, {y_val}) < a0(x) by {-gap:.3e}: "
                     "reaction floor is not a lower bound")
 
     def check_control(self, mesh: Mesh, u: P0Field) -> None:
-        """Check that u lives on ``mesh`` and a0 + u >= 0 at the quadrature
-        points, not identically 0."""
+        """Check that u lives on ``mesh`` and a0 + u is finite and >= 0 at
+        the quadrature points, not identically 0."""
         if u.mesh is not mesh:
             raise MeshError("the control lives on another mesh")
         a0 = fem.at_points(self.reaction_floor, fem.quadrature_points(mesh))
         total = a0 + u.values[:, None]
-        if float(total.min()) < -1e-12:
+        low, high = float(total.min()), float(total.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise AdmissibilityError("a0 + u is not finite")
+        if low < -1e-12:
             raise AdmissibilityError(
-                f"a0(x) + u = {total.min():.6e} < 0: coercivity is lost")
-        if float(total.max()) <= 0.0:
+                f"a0(x) + u = {low:.6e} < 0: coercivity is lost")
+        if high <= 0.0:
             raise AdmissibilityError("a0 + u vanishes identically")
 
 
@@ -191,7 +194,7 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     report = SolveReport()
     f = residual(y)
     norm_f = norm(f)
-    while norm_f > tol * scale:
+    while not norm_f <= tol * scale:   # a NaN residual never converges
         if report.iterations == _NEWTON_MAX_ITERATIONS:
             report.residual = norm_f
             raise NonconvergenceError(

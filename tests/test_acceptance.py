@@ -386,11 +386,11 @@ def test_criterion9_projection_suite():
         proj = fem.l2_project_p0(mesh, source)
         vals = fem.at_points(source, fem.quadrature_points(mesh))
         residual = mesh.areas * ((vals - proj.values[:, None])
-                                 @ fem.TRIANGLE_RULE.weights)
+                                 @ fem.TRIANGLE_WEIGHTS)
         worst_orth = max(worst_orth, float(np.max(np.abs(residual))))
         d2 = (vals - proj.values[:, None]) ** 2
         errors.append(float(np.sqrt(np.sum(
-            mesh.areas * (d2 @ fem.TRIANGLE_RULE.weights)))))
+            mesh.areas * (d2 @ fem.TRIANGLE_WEIGHTS)))))
     check("c9 projection orthogonality", worst_orth <= 1e-12,
           f"worst elementwise residual {worst_orth:.3e}")
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]

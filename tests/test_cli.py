@@ -449,6 +449,20 @@ def test_check_reports_a_broken_mesh(capsys, monkeypatch):
             "triangles") in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("weights", ["TRIANGLE_WEIGHTS", "EDGE_WEIGHTS"])
+def test_check_reports_a_perturbed_quadrature_weight(weights, capsys,
+                                                     monkeypatch):
+    import ocfem.cli as cli_mod
+
+    perturbed = getattr(cli_mod.fem, weights).copy()
+    perturbed[0] += 1e-6
+    monkeypatch.setattr(cli_mod.fem, weights, perturbed)
+    assert run_cli(["check", "--preset", "paper-sec6", "--level", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL quadrature-exactness:")
+               for line in lines)
+
+
 def test_check_reports_a_nonsymmetric_hessian(capsys, monkeypatch):
     import ocfem.cli as cli_mod
 

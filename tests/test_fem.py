@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from ocfem import (Mesh, MeshError, OcfemError, P0Field, P1Field,
-                   TRIANGLE_RULE, assemble_boundary_load, assemble_stiffness,
+                   assemble_boundary_load, assemble_stiffness,
                    assemble_volume_load, assemble_weighted_mass, barycenters,
                    build_unit_square_mesh, integrate, l2_diff_p0,
                    l2_diff_p0_cross, l2_diff_p1, l2_diff_p1_cross,
@@ -59,22 +59,26 @@ def gauss_product_integral(f, n=48):
     return float(np.einsum("i,j,ij->", w, w, vals))
 
 
-def test_volume_rule_exact_to_degree_4():
-    rule = TRIANGLE_RULE
-    assert abs(rule.weights.sum() - 1.0) <= 1e-15
-    xy = rule.points[:, 1:3]
-    for a in range(5):
-        for b in range(5 - a):
-            approx = 0.5 * float(rule.weights @ (xy[:, 0] ** a * xy[:, 1] ** b))
-            exact = math.factorial(a) * math.factorial(b) / \
-                math.factorial(a + b + 2)
-            assert abs(approx - exact) <= 5e-14 * exact
-
-
-def test_boundary_rule_exact_to_degree_5():
-    for k in range(6):
-        approx = float(fem.EDGE_RULE_WEIGHTS @ fem.EDGE_RULE_POINTS ** k)
-        assert abs(approx - 1.0 / (k + 1)) <= 1e-15 * (k + 1)
+@pytest.mark.parametrize("rule, simplex, degree, rel",
+                         [("TRIANGLE", 2, 4, 5e-14), ("EDGE", 1, 5, 1e-15)],
+                         ids=["triangle", "edge"])
+def test_rule_exact_to_its_degree(rule, simplex, degree, rel):
+    """Barycentric points and weights of the rule on the d-simplex
+    integrate each monomial of the last d coordinates up to the degree:
+    its mean is d! prod(e!) / (d + sum(e))!."""
+    points = getattr(fem, f"{rule}_POINTS")
+    weights = getattr(fem, f"{rule}_WEIGHTS")
+    assert getattr(fem, f"{rule}_DEGREE") == degree
+    assert points.shape == (len(weights), simplex + 1)
+    assert abs(weights.sum() - 1.0) <= 1e-15
+    assert np.all(np.abs(points.sum(axis=1) - 1.0) <= 1e-15)
+    for powers in itertools.product(range(degree + 1), repeat=simplex):
+        if sum(powers) <= degree:
+            mean = float(weights @ np.prod(points[:, 1:] ** powers, axis=1))
+            exact = math.factorial(simplex) * \
+                math.prod(map(math.factorial, powers)) / \
+                math.factorial(simplex + sum(powers))
+            assert abs(mean - exact) <= rel * exact
 
 
 def test_stiffness_kernel_contains_constants():
@@ -153,7 +157,7 @@ def test_p0_weight_total_mass():
     rng = np.random.default_rng(8)
     w = rng.uniform(0.5, 2.0, mesh.num_triangles)
     M = assemble_weighted_mass(mesh, np.repeat(
-        w[:, None], len(TRIANGLE_RULE.weights), axis=1))
+        w[:, None], len(fem.TRIANGLE_WEIGHTS), axis=1))
     one = np.ones(mesh.num_vertices)
     assert one @ M.matvec(one) == pytest.approx(
         float(np.sum(w * mesh.areas)), rel=1e-13)
@@ -205,9 +209,9 @@ def _edge_load(mesh, edges, g):
     for v0, v1 in edges.tolist():
         p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
         length = np.linalg.norm(p1 - p0)
-        for t, w in zip(fem.EDGE_RULE_POINTS, fem.EDGE_RULE_WEIGHTS):
-            gv = g(((1.0 - t) * p0 + t * p1)[None])[0] * w * length
-            out[v0] += gv * (1.0 - t)
+        for (s, t), w in zip(fem.EDGE_POINTS, fem.EDGE_WEIGHTS):
+            gv = g((s * p0 + t * p1)[None])[0] * w * length
+            out[v0] += gv * s
             out[v1] += gv * t
     return out
 
@@ -263,7 +267,7 @@ def test_projection_is_orthogonal():
     # orthogonality against every P0 direction via per-element residuals
     vals = at_quadrature(mesh, source)
     residual = mesh.areas * ((vals - proj.values[:, None])
-                             @ TRIANGLE_RULE.weights)
+                             @ fem.TRIANGLE_WEIGHTS)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -286,7 +290,7 @@ def test_projection_error_decay_against_monomial_oracle():
         proj = l2_project_p0(mesh, lambda x: x[..., 0] ** 2)
         vals = at_quadrature(mesh, lambda x: x[..., 0] ** 2)
         d2 = (vals - proj.values[:, None]) ** 2
-        err = float(np.sqrt(np.sum(mesh.areas * (d2 @ TRIANGLE_RULE.weights))))
+        err = float(np.sqrt(np.sum(mesh.areas * (d2 @ fem.TRIANGLE_WEIGHTS))))
         errors.append(err)
         assert err == pytest.approx(oracle, rel=1e-12)
     for e_prev, e_cur in zip(errors, errors[1:]):
@@ -310,7 +314,8 @@ def test_p0_constant_norm():
 def test_p1_linear_norm_analytic():
     mesh = build_unit_square_mesh(3)
     field = P1Field(mesh, mesh.vertices[:, 0])
-    assert l2_diff_p1(field, P1Field.zeros(mesh)) == \
+    zero = P1Field(mesh, np.zeros(mesh.num_vertices))
+    assert l2_diff_p1(field, zero) == \
         pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
 
 
@@ -328,8 +333,8 @@ def test_cross_level_norms_exact_on_polynomials():
 
 
 def test_mismatched_meshes_rejected():
-    a = P1Field.zeros(build_unit_square_mesh(2))
-    b = P1Field.zeros(build_unit_square_mesh(2))
+    a, b = (P1Field(mesh, np.zeros(mesh.num_vertices)) for mesh in
+            (build_unit_square_mesh(2), build_unit_square_mesh(2)))
     with pytest.raises(MeshError):
         l2_diff_p1(a, b)
 
@@ -354,7 +359,7 @@ def test_product_mean_is_exact_and_bitwise_the_summed_form():
     summed = (np.sum(av * bv, axis=1) + av.sum(axis=1) * bv.sum(axis=1)) / 12
     assert np.array_equal(mean, summed)
     # The degree-4 rule is exact for the quadratic a b.
-    exact = (a.at_quadrature() * b.at_quadrature()) @ TRIANGLE_RULE.weights
+    exact = (a.at_quadrature() * b.at_quadrature()) @ fem.TRIANGLE_WEIGHTS
     assert mean == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
@@ -379,7 +384,7 @@ def test_p0_weighted_load_is_exact_and_bitwise_the_summed_form():
 @pytest.mark.parametrize("integrand", [
     lambda mesh: (lambda x: x[..., 0]),
     lambda mesh: np.ones(mesh.num_triangles),
-    lambda mesh: np.ones((mesh.num_triangles, len(TRIANGLE_RULE.weights) + 1)),
+    lambda mesh: np.ones((mesh.num_triangles, len(fem.TRIANGLE_WEIGHTS) + 1)),
 ], ids=["callable", "per-element", "too-many-points"])
 @pytest.mark.parametrize("integrate_with", [
     assemble_volume_load, integrate, assemble_weighted_mass])
@@ -413,15 +418,15 @@ def _local_stiffness(mesh, diffusion):
     else:
         pts = fem.quadrature_points(mesh).reshape(-1, 2)
         vals = diffusion(pts).reshape(mesh.num_triangles, -1, 2, 2)
-        coef = np.einsum("q,tqab->tab", TRIANGLE_RULE.weights, vals)
+        coef = np.einsum("q,tqab->tab", fem.TRIANGLE_WEIGHTS, vals)
     return mesh.areas[:, None, None] * np.einsum("tia,tab,tjb->tij",
                                                   g, coef, g)
 
 
 def _local_mass(mesh, wq):
-    lam = TRIANGLE_RULE.points
+    lam = fem.TRIANGLE_POINTS
     return mesh.areas[:, None, None] * np.einsum(
-        "tq,q,qi,qj->tij", wq, TRIANGLE_RULE.weights, lam, lam)
+        "tq,q,qi,qj->tij", wq, fem.TRIANGLE_WEIGHTS, lam, lam)
 
 
 def _varying_diffusion(x):
@@ -443,7 +448,7 @@ def test_assembly_matches_coo_oracle(level, diffusion):
     mesh = build_unit_square_mesh(level)
     rng = np.random.default_rng(level)
     wq = rng.uniform(0.5, 2.0, (mesh.num_triangles,
-                                len(TRIANGLE_RULE.weights)))
+                                len(fem.TRIANGLE_WEIGHTS)))
     K = assemble_stiffness(mesh, diffusion)
     M = assemble_weighted_mass(mesh, wq)
     _assert_matches(K, _reference_operator(mesh, _local_stiffness(mesh,
@@ -483,7 +488,7 @@ def test_local_mass_matches_oracle_for_weights_of_both_signs(level):
     # oracle's rounding stays relative to the entry.
     mesh = build_unit_square_mesh(level)
     rng = np.random.default_rng(20 + level)
-    nq = len(TRIANGLE_RULE.weights)
+    nq = len(fem.TRIANGLE_WEIGHTS)
     sign = np.resize([1.0, -1.0], (mesh.num_triangles, 1))
     wq = sign * rng.uniform(0.5, 2.0, (mesh.num_triangles, nq))
     np.testing.assert_allclose(fem._weighted_mass_local(mesh, wq),

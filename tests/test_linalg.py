@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ocfem import (CoercivityError, LinearSolverError, SparseSymOperator,
-                   TRIANGLE_RULE, build_unit_square_mesh,
+                   build_unit_square_mesh,
                    assemble_volume_load, assemble_weighted_mass,
                    assemble_stiffness, fem, refine)
 from ocfem.linalg import FactorSlot, _symmetric_csc
@@ -15,7 +15,7 @@ from ocfem.linalg import FactorSlot, _symmetric_csc
 def constant_mass(mesh, weight):
     """Mass operator of a constant weight, from its quadrature values."""
     return assemble_weighted_mass(mesh, np.full(
-        (mesh.num_triangles, len(TRIANGLE_RULE.weights)), weight))
+        (mesh.num_triangles, len(fem.TRIANGLE_WEIGHTS)), weight))
 
 
 def random_spd(n, seed):
@@ -148,7 +148,7 @@ def test_abs_norm_of_assembled_operator_is_its_largest_column_sum():
     mesh = build_unit_square_mesh(4)
     rng = np.random.default_rng(12)
     weight = rng.uniform(0.5, 2.0,
-                         (mesh.num_triangles, len(TRIANGLE_RULE.weights)))
+                         (mesh.num_triangles, len(fem.TRIANGLE_WEIGHTS)))
     op = SparseSymOperator(assemble_stiffness(mesh).matrix +
                            assemble_weighted_mass(mesh, weight).matrix)
     assert (op.matrix != op.matrix.T).nnz == 0
@@ -414,7 +414,7 @@ def test_symmetric_csc_is_the_permuted_csr_without_a_copy(level):
     mesh = build_unit_square_mesh(level)
     rng = np.random.default_rng(40 + level)
     weight = rng.uniform(0.5, 2.0,
-                         (mesh.num_triangles, len(TRIANGLE_RULE.weights)))
+                         (mesh.num_triangles, len(fem.TRIANGLE_WEIGHTS)))
     a = fem.add_weighted_mass(mesh, None, weight).matrix
     perm = reverse_cuthill_mckee(a, symmetric_mode=True)
     want = a[perm][:, perm].tocsc()

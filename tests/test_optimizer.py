@@ -186,7 +186,7 @@ def test_project_control_examples():
     phi_big = P1Field(mesh, np.full(mesh.num_vertices, 5.0 * nu))
     assert _projection(mesh, y, phi_big, spec) == \
         pytest.approx(1.0, abs=0.0)
-    zero = P1Field.zeros(mesh)
+    zero = P1Field(mesh, np.zeros(mesh.num_vertices))
     assert _projection(mesh, zero, phi, spec) == \
         pytest.approx(0.0, abs=0.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ocfem import (AdmissibilityError, MeshError, NonconvergenceError,
-                   P0Field, P1Field, ProblemSpec, barycenters,
+                   OcfemError, P0Field, P1Field, ProblemSpec, barycenters,
                    build_unit_square_mesh, get_preset, l2_diff_p1,
                    linf_diff_p1, prolong_p1, refine)
 from ocfem import fem, optimizer, pde
@@ -181,7 +181,8 @@ def test_linearized_difference_quotient_second_order():
                                  P0Field(mesh, u.values + t * v.values),
                                  init=y)
         defect = P1Field(mesh, y_t.values - y.values - t * z.values)
-        errs.append(l2_diff_p1(defect, P1Field.zeros(mesh)))
+        errs.append(l2_diff_p1(defect, P1Field(mesh, np.zeros_like(
+            defect.values))))
     slope = np.log(errs[0] / errs[1]) / np.log(steps[0] / steps[1])
     assert 1.8 <= slope <= 2.2
 
@@ -200,7 +201,7 @@ def test_eta_zero_cases():
     lin = linear_reaction_spec(1.0)
     y1, _ = pde.solve_state(lin, mesh, zero)
     operator = pde.linearized_operator(lin, mesh, zero, y1)
-    phi0 = P1Field.zeros(mesh)
+    phi0 = P1Field(mesh, np.zeros(mesh.num_vertices))
     v = P0Field(mesh, np.full(mesh.num_triangles, 1.0))
     z = pde.solve_linearized(operator, y1, v)
     eta = pde.solve_eta(operator, phi0, z, v,
@@ -248,7 +249,7 @@ def test_initial_state_on_another_mesh_is_refused():
     twin = build_unit_square_mesh(3)
     with pytest.raises(MeshError, match="initial state"):
         pde.solve_state(spec, mesh, P0Field.zeros(mesh),
-                        init=P1Field.zeros(twin))
+                        init=P1Field(twin, np.zeros(twin.num_vertices)))
 
 
 @pytest.mark.parametrize("excess, refused", [(1e-9, True), (1e-13, False)])
@@ -264,6 +265,44 @@ def test_check_control_threshold(excess, refused):
             spec.check_control(mesh, P0Field(mesh, values))
     else:
         spec.check_control(mesh, P0Field(mesh, values))
+
+
+@pytest.mark.parametrize("case", ["nan-control", "inf-element", "nan-floor"])
+def test_check_control_refuses_non_finite_data(case):
+    # min/max comparisons alone let NaN and inf through: a NaN control
+    # used to give y = 0 with a NaN residual, and cost() returned NaN.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    values = np.zeros(mesh.num_triangles)
+    if case == "nan-control":
+        values[:] = np.nan
+    elif case == "inf-element":
+        values[0] = np.inf
+    else:
+        spec = spec.with_overrides(
+            reaction_floor=lambda x: np.full(x.shape[:-1], np.nan))
+    u = P0Field(mesh, values)
+    with pytest.raises(AdmissibilityError, match="not finite"):
+        spec.check_control(mesh, u)
+    with pytest.raises(AdmissibilityError, match="not finite"):
+        optimizer.cost(spec, mesh, u)
+
+
+def test_validate_refuses_a_nan_reaction_derivative():
+    spec = get_preset("paper-sec6").with_overrides(
+        nonlinearity_dy=lambda x, y: np.full(len(x), np.nan))
+    with pytest.raises(AdmissibilityError, match="not a lower bound"):
+        spec.validate(build_unit_square_mesh(2))
+
+
+def test_state_newton_never_reads_a_nan_residual_as_converged():
+    # From an all-NaN start the residual is NaN; `NaN > tol` is False, so
+    # a `while residual > tol` loop returned the NaN state untouched.
+    spec = get_preset("paper-sec6")
+    mesh = build_unit_square_mesh(3)
+    init = P1Field(mesh, np.full(mesh.num_vertices, np.nan))
+    with pytest.raises(OcfemError):
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh), init=init)
 
 
 def test_validate_refuses_identically_vanishing_reaction():
@@ -347,7 +386,7 @@ def test_level8_solve_returns_at_first_floor_step(monkeypatch):
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(8)
     values = cosine_control(spec, mesh, np.random.default_rng(40))
-    y = P1Field.zeros(mesh)
+    y = P1Field(mesh, np.zeros(mesh.num_vertices))
     op = pde.linearized_operator(spec, mesh, P0Field(mesh, values), y)
     b = (fem.assemble_boundary_load(mesh, spec.boundary_flux)
          - fem.assemble_volume_load(mesh, fem.at_points(

@@ -47,7 +47,7 @@ def test_eoc_values():
 def test_postprocess_zero_state():
     mesh = build_unit_square_mesh(2)
     samples = postprocessed_samples(
-        box(-1.0, 1.0, 0.05), P1Field.zeros(mesh),
+        box(-1.0, 1.0, 0.05), P1Field(mesh, np.zeros(mesh.num_vertices)),
         P1Field(mesh, np.ones(mesh.num_vertices)), mesh)
     assert np.array_equal(samples, np.zeros((mesh.num_triangles, 4)))
 
@@ -356,7 +356,7 @@ def test_postprocess_error_cross_matches_barycentric_evaluation(hierarchy,
     fine_vals = spec.clamp(pp_fine[0].at_quadrature() *
                            pp_fine[1].at_quadrature() / spec.nu)
     d2 = (fine_vals - coarse_vals) ** 2
-    expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_RULE.weights)))
+    expected = np.sqrt(np.sum(fine.areas * (d2 @ fem.TRIANGLE_WEIGHTS)))
     prolonged = tuple(fem.prolong_p1(fine, field) for field in pp_coarse)
     assert postprocess_error_cross(spec, prolonged, pp_fine) == \
         pytest.approx(expected, rel=1e-13)
