@@ -14,7 +14,7 @@ Element conventions
   and to the boundary flux's; it broadcasts, so every coefficient but the
   diffusion may return a scalar.  ``l2_project_p0`` takes a callable.
 * The boundary is not stored on the mesh: it is the set of edges in one
-  triangle only, read once per mesh off the sparsity pattern's counts.
+  triangle only, read once per mesh off the counts of ``Mesh.edges``.
 * Products of two P1 factors (elementwise means of y*phi, norms, the mass
   action on a P0 weight) are integrated with the closed-form identity
   ``int_T y z = |T|/12 * (sum_i y_i z_i + (sum_i y_i)(sum_i z_i))``,
@@ -141,7 +141,7 @@ def assemble_stiffness(mesh: Mesh, diffusion=None) -> SparseSymOperator:
     mapping points (m, 2) to symmetric coefficient matrices (m, 2, 2).
     The result is symmetric positive semidefinite with constants in its
     kernel.  Its data are assembled once per (mesh, diffusion) and stored
-    read-only next to the mesh's pattern.
+    read-only in this module's per-mesh store.
     """
     return _operator_on_pattern(mesh, _stiffness_data(mesh, diffusion))
 
@@ -194,28 +194,9 @@ def _weighted_mass_local(mesh: Mesh, weight) -> np.ndarray:
     return local
 
 
-def _pattern(mesh: Mesh):
-    """CSR ``(indptr, indices)`` of the P1 couplings of ``mesh`` and the
-    position in ``indices`` of each of the 9 nt local entries, in the
-    row-major order of the local (nt, 3, 3) matrices, in the index dtype."""
-    def build():
-        nv = mesh.num_vertices
-        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-        cols = np.tile(mesh.triangles, (1, 3)).ravel()
-        # COO to CSR sums duplicates without a sort; its keys come sorted.
-        csr = sp.csr_matrix((np.ones(len(rows), np.int8), (rows, cols)),
-                            shape=(nv, nv))
-        keys = np.repeat(np.arange(nv, dtype=np.int64) * nv,
-                         np.diff(csr.indptr)) + csr.indices
-        position = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
-        return csr.indptr, csr.indices, position.astype(csr.indices.dtype)
-
-    return _per_mesh(mesh, "pattern", build)
-
-
 def _operator_on_pattern(mesh: Mesh, data: np.ndarray,
                          slot: FactorSlot = None) -> SparseSymOperator:
-    indptr, indices, _ = _pattern(mesh)
+    indptr, indices, _ = mesh.pattern
     nv = mesh.num_vertices
     return SparseSymOperator(
         sp.csr_matrix((data, indices, indptr), shape=(nv, nv)), slot=slot)
@@ -224,7 +205,7 @@ def _operator_on_pattern(mesh: Mesh, data: np.ndarray,
 def _pattern_data(mesh: Mesh, local: np.ndarray) -> np.ndarray:
     """Local (nt, 3, 3) matrices summed into the data of the mesh's pattern,
     in ``np.bincount``'s order but without its int64 copy of the positions."""
-    _, indices, position = _pattern(mesh)
+    _, indices, position = mesh.pattern
     data = np.zeros(len(indices))
     np.add.at(data, position, local.ravel())
     return data
@@ -252,13 +233,10 @@ def assemble_volume_load(mesh: Mesh, f) -> np.ndarray:
 
 def _boundary_edges(mesh: Mesh) -> np.ndarray:
     """Vertex pairs ``(i, j)``, ``i < j``, of the edges in one triangle
-    only, (ne, 2): the pattern entries above the diagonal that one local
-    matrix adds to.  Computed once per mesh."""
+    only, (ne, 2), in edge-table order.  Computed once per mesh."""
     def build():
-        indptr, indices, slot = _pattern(mesh)
-        rows = np.repeat(np.arange(mesh.num_vertices), np.diff(indptr))
-        once = (np.bincount(slot) == 1) & (rows < indices)
-        return (np.column_stack([rows[once], indices[once]]),)
+        pairs, counts, _ = mesh.edges()
+        return (pairs[counts == 1],)
 
     return _per_mesh(mesh, "boundary_edges", build)[0]
 

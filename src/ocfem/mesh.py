@@ -13,13 +13,18 @@ Conventions
   records its ``parent`` and the two parent vertices of each new midpoint
   (``midpoints``).  Prolongation in ``fem``, point location and the
   study's sampling of the finest level by index rely on this layout.
+* The P1 sparsity pattern, built on first use, is the one edge table:
+  its entries above the diagonal are the edges, sorted by vertex pair.
 
 Meshes are immutable after construction (the backing arrays are marked
 read-only) and safe to share between threads.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError, MeshSizeError
 
@@ -108,13 +113,43 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def pattern(self):
+        """Read-only CSR ``(indptr, indices)`` of the P1 couplings and the
+        position in ``indices`` of each of the 9 nt local entries, in the
+        row-major order of the local (nt, 3, 3) matrices, in index dtype."""
+        nv = self.num_vertices
+        rows = np.repeat(self.triangles, 3, axis=1).ravel()
+        cols = np.tile(self.triangles, (1, 3)).ravel()
+        # COO to CSR sums duplicates without a sort; its keys come sorted.
+        csr = sp.csr_matrix((np.ones(len(rows), np.int8), (rows, cols)),
+                            shape=(nv, nv))
+        keys = np.repeat(np.arange(nv, dtype=np.int64) * nv,
+                         np.diff(csr.indptr)) + csr.indices
+        position = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
+        pattern = csr.indptr, csr.indices, position.astype(csr.indices.dtype)
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
+
+    def edges(self):
+        """The pattern's entries above the diagonal as vertex pairs (ne, 2),
+        the number of triangles on each (ne,), and the rows of each
+        triangle's edges (a, b), (b, c), (c, a) (nt, 3)."""
+        indptr, indices, slot = self.pattern
+        rows = np.repeat(np.arange(self.num_vertices, dtype=indices.dtype),
+                         np.diff(indptr))
+        upper = rows < indices
+        rank = np.cumsum(upper, dtype=indices.dtype) - 1
+        # Of an edge's entries (i, j) and (j, i), the upper one comes first.
+        local, i, j = slot.reshape(-1, 3, 3), [0, 1, 2], [1, 2, 0]
+        triangle_edges = rank[np.minimum(local[:, i, j], local[:, j, i])]
+        return (np.column_stack([rows[upper], indices[upper]]),
+                np.bincount(slot)[upper], triangle_edges)
+
     def validate(self) -> None:
         """Raise MeshError if an edge is shared by more than two triangles."""
-        tri = self.triangles
-        _, counts = np.unique(_edge_keys(np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
-            self.num_vertices), return_counts=True)
-        if np.any(counts > 2):
+        if np.any(self.edges()[1] > 2):
             raise MeshError("non-conforming: an edge is shared by >2 triangles")
 
 
@@ -157,46 +192,33 @@ def refine(mesh: Mesh) -> Mesh:
     """Red refinement: split every triangle into 4 congruent children.
 
     Parent vertex ``v`` keeps index ``v``; the midpoints of the parent's
-    edges follow in sorted edge order.  Parent triangle ``t`` ``[a, b, c]``
+    edges follow in edge-table order.  Parent triangle ``t`` ``[a, b, c]``
     has the children ``[a, m01, m20]``, ``[m01, b, m12]``,
     ``[m20, m12, c]`` and the middle ``[m01, m12, m20]`` at ``4t..4t+3``;
     the middle child has its parent's barycenter.  Prolongation and the
     study's samples of the finest level on coarser ones rely on both facts.
-    The child's ``parent`` is ``mesh`` and its ``midpoints`` are the sorted
-    edges, the two parent vertices of each midpoint.
+    The child's ``parent`` is ``mesh`` and its ``midpoints`` are the
+    parent's edges, the two parent vertices of each midpoint.
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
     index_max = np.iinfo(_INDEX_DTYPE).max
     if 4 * nt - 1 > index_max or nv + 3 * nt > index_max:
         raise MeshSizeError("refined mesh overflows the vertex index type")
-    tri = mesh.triangles
-    raw = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    # One int64 key u*nv + v per edge (u < v < nv < 2**31): sorting the keys
-    # is sorting the edges row by row.
-    keys = _edge_keys(raw, nv)
-    uniq_keys, inverse = np.unique(keys, return_inverse=True)
-    uniq = np.column_stack(np.divmod(uniq_keys, nv))
-    mid = nv + inverse.reshape(3, nt)               # mid[0]=m01, mid[1]=m12, mid[2]=m20
+    pairs, _, triangle_edges = mesh.edges()
 
     vertices = np.concatenate([
         mesh.vertices,
-        0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]]),
+        0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]]),
     ])
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    m01, m12, m20 = mid
+    a, b, c = mesh.triangles.T
+    m01, m12, m20 = nv + triangle_edges.T
     children = np.empty((4 * nt, 3), dtype=_INDEX_DTYPE)
     children[0::4] = np.column_stack([a, m01, m20])
     children[1::4] = np.column_stack([m01, b, m12])
     children[2::4] = np.column_stack([m20, m12, c])
     children[3::4] = np.column_stack([m01, m12, m20])
     return Mesh(vertices, children, mesh.level + 1,
-                _parent=mesh, _midpoints=uniq)
-
-
-def _edge_keys(edges, nv: int) -> np.ndarray:
-    """Key ``min*nv + max`` of each undirected edge row, as int64."""
-    edges = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-    return edges[:, 0] * nv + edges[:, 1]
+                _parent=mesh, _midpoints=pairs)
 
 
 def barycenters(mesh: Mesh) -> np.ndarray:

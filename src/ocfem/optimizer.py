@@ -29,6 +29,7 @@ KKT residual, keep ``linear_tol``.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -205,8 +206,10 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     """Solve the discrete control problem to a KKT residual below ``tol``.
 
     Raises NonconvergenceError (carrying the best iterate) if the outer
-    budget is exhausted, which signals possible loss of second-order
-    sufficiency at the computed point.
+    budget is exhausted.  Its message names an exact cycle, a control
+    iterate that repeats an earlier one bit for bit, with the number of
+    distinct controls visited; otherwise it signals possible loss of
+    second-order sufficiency at the computed point.
     """
     spec.validate(mesh)
     if init is not None and init.mesh is not mesh:
@@ -218,8 +221,14 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     best: Optional[OcpSolution] = None
     last_kkt = math.inf
     stall = 0
+    visited = {}    # digest of each distinct control iterate -> iteration
+    repeat = None   # the first iterate that repeats one, and that one
 
     for it in range(1, _OUTER_MAX_ITERATIONS + 1):
+        digest = hashlib.sha256(u.values.tobytes()).digest()
+        if repeat is None and digest in visited:
+            repeat = (it, visited[digest])
+        visited.setdefault(digest, it)
         # Release the previous problem, and its operator, before the next
         # one is built.
         problem = None
@@ -264,8 +273,11 @@ def solve_ocp(spec: pde.ProblemSpec, mesh: Mesh, init: P0Field = None, *,
     best.cost = cost(spec, mesh, best.control, state=best.state)
     if best.converged:
         return best
+    cause = "possible loss of second-order sufficiency" if repeat is None \
+        else (f"the iterates cycle: iterate {repeat[0]} repeats iterate "
+              f"{repeat[1]}, and the {_OUTER_MAX_ITERATIONS} iterations "
+              f"visited {len(visited)} distinct controls")
     raise NonconvergenceError(
         f"outer solver did not reach KKT tolerance {tol:.3e} in "
         f"{_OUTER_MAX_ITERATIONS} iterations "
-        f"(best residual {best.kkt_residual:.3e}); "
-        "possible loss of second-order sufficiency", report=best)
+        f"(best residual {best.kkt_residual:.3e}); {cause}", report=best)

@@ -99,7 +99,7 @@ class ProblemSpec:
         """Sampled admissibility checks on the given mesh.
 
         Checks the constant control alpha (``check_control``) and
-        spot-checks the monotonicity bound da/dy(x, y) >= a0(x).
+        spot-checks that da/dy(x, y) is finite and bounded below by a0(x).
         """
         self.check_control(mesh, P0Field(mesh, np.full(mesh.num_triangles,
                                                        self.alpha)))
@@ -109,8 +109,10 @@ class ProblemSpec:
         for y_val in (-3.0, -1.0, 0.0, 0.5, 2.0):
             dy = fem.at_points(self.nonlinearity_dy, sample,
                                np.full(len(sample), y_val))
-            gap = float(np.min(dy - a0s))
-            if not gap >= -1e-10:   # a NaN gap is refused too
+            if not np.all(np.isfinite(dy)):
+                raise AdmissibilityError(f"da/dy(x, {y_val}) is not finite")
+            gap = float(np.min(dy - a0s))   # a0 is finite by check_control
+            if gap < -1e-10:
                 raise AdmissibilityError(
                     f"da/dy(x, {y_val}) < a0(x) by {-gap:.3e}: "
                     "reaction floor is not a lower bound")
@@ -173,6 +175,8 @@ def solve_state(spec: ProblemSpec, mesh: Mesh, u: P0Field,
     spec.check_control(mesh, u)
     if init is not None and init.mesh is not mesh:
         raise MeshError("the initial state lives on another mesh")
+    if init is not None and not np.all(np.isfinite(init.values)):
+        raise AdmissibilityError("the initial state is not finite")
     stiffness = fem.assemble_stiffness(mesh, spec.diffusion)
     if slot is None:
         slot = FactorSlot()

@@ -607,10 +607,12 @@ def _pattern_meshes():
 @pytest.mark.parametrize("mesh", _pattern_meshes(),
                          ids=[f"l{j}" for j in range(6)] + ["r2", "r3"])
 def test_pattern_is_the_sorted_oracle_with_int32_positions(mesh):
-    indptr, indices, position = fem._pattern(mesh)
+    indptr, indices, position = mesh.pattern
     for got, want in zip((indptr, indices, position), _sorted_pattern(mesh)):
         assert got.dtype == np.int32
         assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert mesh.pattern is mesh.pattern
     # Each local entry's position holds its column, in its row's range.
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
@@ -620,16 +622,26 @@ def test_pattern_is_the_sorted_oracle_with_int32_positions(mesh):
     # The boundary: the edges of one triangle only, in the oracle's order.
     edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
                                     tri[:, [2, 0]]]), axis=1)
-    pairs, count = np.unique(edges, axis=0, return_counts=True)
+    pairs, inverse, count = np.unique(edges, axis=0, return_inverse=True,
+                                      return_counts=True)
     assert np.array_equal(fem._boundary_edges(mesh), pairs[count == 1])
+    # The edge table: the sorted unique edges, their counts, and each
+    # triangle's (a, b), (b, c), (c, a) as rows of it.
+    got_pairs, got_count, triangle_edges = mesh.edges()
+    assert np.array_equal(got_pairs, pairs)
+    assert np.array_equal(got_count, count)
+    assert np.array_equal(triangle_edges, inverse.reshape(3, -1).T)
 
 
 def test_resident_bytes_per_triangle_after_a_state_solve():
-    # What a solved level keeps: the mesh's arrays and fem's per-mesh store
-    # (pattern, stiffness data, quadrature points, boundary).  Stored int64
-    # positions or stored (nt, 3, 2) gradients would read about 291.
+    # What a solved level keeps: the mesh's arrays, those in its tuples
+    # (the pattern) and fem's per-mesh store (stiffness data, quadrature
+    # points, boundary).  Stored int64 positions or stored (nt, 3, 2)
+    # gradients would read about 291.
     mesh = build_unit_square_mesh(5)
     pde.solve_state(get_preset("paper-sec6"), mesh, P0Field.zeros(mesh))
-    arrays = [a for a in vars(mesh).values() if isinstance(a, np.ndarray)]
+    held = [a if isinstance(a, tuple) else (a,) for a in vars(mesh).values()]
+    arrays = [a for t in held for a in t if isinstance(a, np.ndarray)]
+    assert all(any(a is b for b in arrays) for a in mesh.pattern)
     arrays += [a for stored in fem._PER_MESH[mesh].values() for a in stored]
     assert sum(a.nbytes for a in arrays) <= 210 * mesh.num_triangles

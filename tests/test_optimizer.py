@@ -371,6 +371,21 @@ def test_solve_ocp_budget_error_carries_best(monkeypatch):
     assert best.kkt_residual > 1e-9
 
 
+def test_solve_ocp_budget_error_names_an_exact_cycle():
+    # At nu = 1e-5 the cold start cycles through the active sets: from
+    # iterate 3 on, one element flips between alpha and beta, and the stall
+    # guard's half step puts it at 0 every fourth iterate.
+    spec = get_preset("paper-sec6").with_overrides(nu=1e-5)
+    with pytest.raises(NonconvergenceError) as err:
+        optimizer.solve_ocp(spec, build_unit_square_mesh(3))
+    message = str(err.value)
+    assert message.endswith(
+        "the iterates cycle: iterate 5 repeats iterate 3, and the 50 "
+        "iterations visited 5 distinct controls")
+    assert "second-order" not in message
+    assert not err.value.report.converged
+
+
 def test_solve_ocp_computes_no_step_past_its_budget(monkeypatch):
     # With a budget of one iteration the first iterate is the only one
     # priced, so no Newton step (and no Hessian product) is computed.

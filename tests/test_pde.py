@@ -291,18 +291,46 @@ def test_check_control_refuses_non_finite_data(case):
 def test_validate_refuses_a_nan_reaction_derivative():
     spec = get_preset("paper-sec6").with_overrides(
         nonlinearity_dy=lambda x, y: np.full(len(x), np.nan))
-    with pytest.raises(AdmissibilityError, match="not a lower bound"):
+    with pytest.raises(AdmissibilityError,
+                       match=r"^da/dy\(x, -3.0\) is not finite$"):
+        spec.validate(build_unit_square_mesh(2))
+
+
+def test_validate_refuses_an_infinite_reaction_derivative():
+    # An infinite derivative is above every floor, so the bound alone
+    # let it through.
+    spec = get_preset("paper-sec6").with_overrides(
+        nonlinearity_dy=lambda x, y: np.where(y > 0.0, np.inf, 4.0))
+    with pytest.raises(AdmissibilityError,
+                       match=r"^da/dy\(x, 0.5\) is not finite$"):
         spec.validate(build_unit_square_mesh(2))
 
 
 def test_state_newton_never_reads_a_nan_residual_as_converged():
-    # From an all-NaN start the residual is NaN; `NaN > tol` is False, so
-    # a `while residual > tol` loop returned the NaN state untouched.
+    # With a NaN source the residual is NaN; `NaN > tol` is False, so a
+    # `while residual > tol` loop returned the start untouched.
+    spec = get_preset("paper-sec6").with_overrides(
+        source=lambda x: np.full(x.shape[:-1], np.nan))
+    mesh = build_unit_square_mesh(3)
+    with pytest.raises(OcfemError):
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh))
+
+
+@pytest.mark.parametrize("case", ["all-nan", "one-inf"])
+def test_solve_state_refuses_a_non_finite_initial_state(case):
+    # Such a start used to reach the factorization of a non-finite
+    # tangent, whose error blamed the factor.
     spec = get_preset("paper-sec6")
     mesh = build_unit_square_mesh(3)
-    init = P1Field(mesh, np.full(mesh.num_vertices, np.nan))
-    with pytest.raises(OcfemError):
-        pde.solve_state(spec, mesh, P0Field.zeros(mesh), init=init)
+    values = np.zeros(mesh.num_vertices)
+    if case == "all-nan":
+        values[:] = np.nan
+    else:
+        values[40] = np.inf
+    with pytest.raises(AdmissibilityError,
+                       match="^the initial state is not finite$"):
+        pde.solve_state(spec, mesh, P0Field.zeros(mesh),
+                        init=P1Field(mesh, values))
 
 
 def test_validate_refuses_identically_vanishing_reaction():
